@@ -27,7 +27,6 @@ from .lp import (
     NotProvable,
     ProvenSTI,
     SolveOutcome,
-    extract_dual,
     is_disproof_ray,
     nonneg_combination,
     solve,
@@ -100,7 +99,6 @@ __all__ = [
     "cond_entropy",
     "eim_count",
     "enumerate_eims",
-    "extract_dual",
     "is_disproof_ray",
     "joint_entropy",
     "mutual_info",

@@ -61,10 +61,6 @@ class DimensionMismatchError(InfoIneqError):
     """Vectors or matrices built for different universe sizes were mixed."""
 
 
-class CertificateUnavailableError(InfoIneqError):
-    """Dual extraction was requested for a problem that has no certificate."""
-
-
 class InfeasibleDecompositionError(InfoIneqError):
     """A basic measure failed to decompose over the elemental measures.
 

@@ -1,4 +1,4 @@
-"""Exact-rational decision layer: cone membership and multiplier extraction.
+"""Exact decision layer: cone membership and multiplier extraction.
 
 A candidate inequality "objective . h >= 0 for every h with Eh >= 0, Ch = 0"
 (E the elemental rows, C the constraint rows) holds iff the objective lies in
@@ -7,13 +7,28 @@ are multipliers lam >= 0 and nu with
 
     E^T lam - C^T nu = objective.
 
-Feasibility of that system is decided by a phase-1 simplex over Fractions
-with Bland's pivot rule (entering: lowest eligible column index; leaving:
-lowest basic column index among minimum ratios), which terminates on every
-input and makes results reproducible.  When the system is infeasible the
-final multiplier vector of the phase-1 objective is a Farkas witness; its
-negation is a point of the cone on which the objective is strictly negative,
-which certifies that the inequality is not provable this way.
+Feasibility of that system is decided by a phase-1 simplex with Bland's
+pivot rule (entering: lowest eligible column index; leaving: lowest basic
+column index among minimum ratios), which terminates on every input and
+makes results reproducible.  When the system is infeasible the final
+multiplier vector of the phase-1 objective is a Farkas witness; its negation
+is a point of the cone on which the objective is strictly negative, which
+certifies that the inequality is not provable this way.
+
+The tableau holds Python ints over one common positive denominator d, the
+determinant of the current basis (Edmonds 1967; Bareiss 1968).  Each column
+is first scaled by the lcm of its denominators and the right-hand side by
+the lcm of its own.  A pivot on p keeps the pivot row, replaces every other
+entry t by (t * p - t_e * t_r) / d, a division that is always exact, and
+sets d = p.  No gcd is ever taken, and entries stay the size of minors of
+the integer input.  The scalings are positive, so they change no choice
+Bland's rule makes: scaling column j by s_j multiplies its reduced cost by
+s_j; the tableau row of basic column k and its b_i both carry 1 / s_k and
+the right-hand side carries L, so the ratios b_i / a_ie of entering column e
+are all multiplied by the same L / s_e; and d > 0 divides everything alike.
+Signs, ratio order and the basis-index tie-break are therefore those of a
+Fraction tableau of the unscaled system, and the result maps back exactly:
+x_j = b_i * s_j / (d * L), and the dual multipliers need no unscaling.
 
 Everything is exact: certificates verify by coordinate equality, never by
 tolerance.
@@ -23,17 +38,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .canonical import CanonicalVector
-from .errors import CertificateUnavailableError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 if TYPE_CHECKING:  # imported only for annotations; avoids an import cycle
     from .constraints import ConstraintMatrix
     from .elemental import ElementalMatrix
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_denominator = attrgetter("denominator")
 
 # Generous cap on simplex pivots; Bland's rule terminates long before this on
 # any instance this package can build.
@@ -105,32 +122,32 @@ def _phase1_feasibility(
     """
     m = len(rhs)
     nc = len(columns)
-    # Row-major tableau with artificial identity appended; rows scaled so the
-    # right-hand side is nonnegative.
-    sign = [1] * m
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(m):
-        if rhs[i] < 0:
-            sign[i] = -1
-            row = [-col[i] for col in columns]
-            b.append(-rhs[i])
-        else:
-            row = [col[i] for col in columns]
-            b.append(rhs[i])
-        row.extend(_ONE if k == i else _ZERO for k in range(m))
-        rows.append(row)
+    # Integerize: column j is scaled by the lcm s_j of its denominators, the
+    # right-hand side by the lcm L of its own.  Row i is negated when
+    # rhs[i] < 0 so that b >= 0.
+    sign = [-1 if v < 0 else 1 for v in rhs]
+    scale: list[int] = []
+    int_columns: list[list[int]] = []
+    for col in columns:
+        s = lcm(*map(_denominator, col))
+        scale.append(s)
+        int_columns.append([sg * v.numerator * (s // v.denominator) for sg, v in zip(sign, col)])
+    big_l = lcm(*map(_denominator, rhs))
+    b = [abs(v.numerator) * (big_l // v.denominator) for v in rhs]
+    # Row-major tableau with the artificial identity appended.  The tableau
+    # of the current basis is rows / d, and likewise b / d, cost / d and
+    # obj / d; d is the determinant of the basis, positive throughout.
+    rows = [list(r) for r in zip(*int_columns)]
+    for i, row in enumerate(rows):
+        row.extend(1 if k == i else 0 for k in range(m))
     basis = [nc + i for i in range(m)]
+    d = 1
 
     # Reduced-cost row for "minimize the sum of artificials": every basic
-    # artificial has cost 1, so subtract each constraint row from the costs.
-    cost = [_ZERO] * nc + [_ONE] * m
-    for i in range(m):
-        rowi = rows[i]
-        for j in range(nc + m):
-            if rowi[j]:
-                cost[j] -= rowi[j]
-    obj = sum(b, _ZERO)
+    # artificial has cost 1, so subtract each constraint row from the costs;
+    # the artificial entries come out 1 - 1 = 0.
+    cost = [-sum(c) for c in int_columns] + [0] * m
+    obj = sum(b)
 
     for _ in range(_MAX_PIVOTS):
         if obj == 0:
@@ -145,57 +162,94 @@ def _phase1_feasibility(
                 break
         if enter < 0:
             break
-        # Leaving row: minimum ratio, ties by lowest basic column index.
+        # Leaving row: minimum ratio b[i] / a, compared by cross-multiplying
+        # (both denominators positive), ties by lowest basic column index.
         leave = -1
-        best: Fraction | None = None
+        best_b = best_a = 0
         for i in range(m):
             a = rows[i][enter]
             if a > 0:
-                ratio = b[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                here, best = b[i] * best_a, best_b * a
+                if leave < 0 or here < best or (here == best and basis[i] < basis[leave]):
+                    best_b, best_a = b[i], a
                     leave = i
         if leave < 0:
             # The phase-1 objective is bounded below by zero, so an unbounded
             # direction is impossible.
             raise AssertionError("phase-1 simplex found an unbounded direction")
-        # Pivot on (leave, enter).
+        # Integer-preserving pivot on (leave, enter): the pivot row stays, every
+        # other row becomes (row * p - f * prow) / d, which divides exactly,
+        # and p is the next common denominator.
         prow = rows[leave]
-        piv = prow[enter]
-        if piv != 1:
-            inv = _ONE / piv
-            rows[leave] = prow = [v * inv for v in prow]
-            b[leave] *= inv
+        p = prow[enter]
+        bl = b[leave]
+        support = [(j, q) for j, q in enumerate(prow) if q]
         for i in range(m):
             if i == leave:
                 continue
-            f = rows[i][enter]
+            rowi = rows[i]
+            f = rowi[enter]
             if f:
-                rowi = rows[i]
-                rows[i] = [v - f * p for v, p in zip(rowi, prow)]
-                b[i] -= f * b[leave]
+                _eliminate(rowi, prow, support, f, p, d)
+                b[i] = (b[i] * p - f * bl) // d
+            elif p != d:
+                # Only rescaled; kept apart from _eliminate because these
+                # rows dominate the cost of non-unit pivots at n >= 8.
+                rowi[:] = [v * p // d if v else 0 for v in rowi]
+                b[i] = b[i] * p // d
         f = cost[enter]
-        if f:
-            cost = [v - f * p for v, p in zip(cost, prow)]
-            obj += f * b[leave]
+        _eliminate(cost, prow, support, f, p, d)
+        obj = (obj * p + f * bl) // d
         basis[leave] = enter
+        d = p
     else:
         raise AssertionError("simplex pivot limit exceeded")
 
     if obj == 0:
+        # Undo the scalings: x_j = b_i * s_j / (d * L) for the basic column j.
         x = [_ZERO] * nc
+        den = d * big_l
         for i, col in enumerate(basis):
             if col < nc:
-                x[col] = b[i]
+                x[col] = Fraction(b[i] * scale[col], den)
         return x, None
     # Infeasible: multipliers from the artificial reduced costs, mapped back
-    # through the row scaling.  y_i = cost_of_artificial - reduced_cost.
-    y = [sign[i] * (_ONE - cost[nc + i]) for i in range(m)]
+    # through the row signs.  y_i = cost_of_artificial - reduced_cost.
+    y = [sign[i] * Fraction(d - cost[nc + i], d) for i in range(m)]
     return None, y
+
+
+def _eliminate(
+    row: list[int], prow: list[int], support: list[tuple[int, int]], f: int, p: int, d: int,
+) -> None:
+    """row <- (row * p - f * prow) / d in place, an exact division.
+
+    `support` lists the nonzero (j, prow[j]); when p == d only those change.
+    """
+    if p != d:
+        row[:] = [(v * p - f * q) // d if v or q else 0 for v, q in zip(row, prow)]
+    elif d == 1:
+        for j, q in support:
+            row[j] -= f * q
+    else:
+        # row * d - f * q is divisible by d, hence so is f * q.
+        for j, q in support:
+            row[j] -= f * q // d
 
 
 def _constraint_rows(constraints: "ConstraintMatrix | None"):
     return constraints.rows if constraints is not None else ()
+
+
+def _lp_columns(
+    elemental: "ElementalMatrix", constraints: "ConstraintMatrix | None",
+) -> list[tuple[Fraction, ...]]:
+    """Columns of the phase-1 system: E^T, then -C^T and C^T for nu's two parts."""
+    qrows = _constraint_rows(constraints)
+    columns: list[tuple[Fraction, ...]] = [term.row.coeffs for term in elemental.rows]
+    columns += [tuple(-c for c in row.row.coeffs) for row in qrows]  # nu positive part
+    columns += [row.row.coeffs for row in qrows]  # nu negative part
+    return columns
 
 
 def nonneg_combination(
@@ -209,10 +263,7 @@ def nonneg_combination(
     if constraints is not None and constraints.n != target.n:
         raise DimensionMismatchError("constraint matrix built for a different universe")
     qrows = _constraint_rows(constraints)
-    columns: list[tuple[Fraction, ...]] = [term.row.coeffs for term in elemental.rows]
-    columns += [tuple(-c for c in row.row.coeffs) for row in qrows]  # nu positive part
-    columns += [row.row.coeffs for row in qrows]  # nu negative part
-    x, farkas = _phase1_feasibility(columns, target.coeffs)
+    x, farkas = _phase1_feasibility(_lp_columns(elemental, constraints), target.coeffs)
     ne = len(elemental.rows)
     nq = len(qrows)
     if x is not None:
@@ -276,15 +327,6 @@ def solve(p: ConeProblem) -> SolveOutcome:
     if isinstance(result, Certificate):
         return ProvenSTI(result)
     return NotProvable(result.witness)
-
-
-def extract_dual(p: ConeProblem) -> Certificate:
-    """Certificate for a problem already known to be provable."""
-    result = nonneg_combination(p.objective, p.elemental, p.constraints)
-    if isinstance(result, Certificate):
-        return result
-    raise CertificateUnavailableError(
-        "the objective is unbounded below on the cone; no certificate exists")
 
 
 def verify_certificate(p: ConeProblem, c: Certificate) -> bool:

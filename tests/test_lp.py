@@ -7,14 +7,13 @@ import dd_oracle
 from infoineq.canonical import CanonicalVector, canonicalize, measure_vector
 from infoineq.constraints import build_constraint_matrix
 from infoineq.elemental import enumerate_eims
-from infoineq.errors import CertificateUnavailableError, DimensionMismatchError
+from infoineq.errors import DimensionMismatchError
 from infoineq.lp import (
     Certificate,
     ConeProblem,
     InfeasibleCombination,
     NotProvable,
     ProvenSTI,
-    extract_dual,
     is_disproof_ray,
     nonneg_combination,
     solve,
@@ -62,32 +61,34 @@ class TestSolve:
 
 
 class TestExtractDual:
+    """The dual certificate is read off `solve(...).certificate`."""
+
     def test_trivial_eim_certificate(self, u2, g2):
-        cert = extract_dual(_problem("I(X1;X2)", u2, g2))
+        cert = solve(_problem("I(X1;X2)", u2, g2)).certificate
         assert cert.lam == (F(0), F(0), F(1))
 
     def test_scaling(self, u2, g2):
-        cert = extract_dual(_problem("2 I(X1;X2)", u2, g2))
+        cert = solve(_problem("2 I(X1;X2)", u2, g2)).certificate
         assert cert.lam == (F(0), F(0), F(2))
 
     def test_entropy_decomposition_certificate(self, u2, g2):
-        cert = extract_dual(_problem("H(X1)", u2, g2))
+        cert = solve(_problem("H(X1)", u2, g2)).certificate
         assert cert.lam == (F(1), F(0), F(1))
 
-    def test_unprovable_raises(self, u2, g2):
-        with pytest.raises(CertificateUnavailableError):
-            extract_dual(_problem("-H(X1)", u2, g2))
+    def test_unprovable_has_no_certificate(self, u2, g2):
+        out = solve(_problem("-H(X1)", u2, g2))
+        assert isinstance(out, NotProvable)
 
 
 class TestVerifyCertificate:
     def test_extracted_certificates_verify(self, u4, g4):
         p = _problem("I(B;C) - I(A;D)", u4, g4, ("markov: A -> B -> C -> D",))
-        cert = extract_dual(p)
+        cert = solve(p).certificate
         assert verify_certificate(p, cert) is True
 
     def test_perturbed_lambda_fails(self, u2, g2):
         p = _problem("I(X1;X2)", u2, g2)
-        cert = extract_dual(p)
+        cert = solve(p).certificate
         bad = Certificate((cert.lam[0] + 1,) + cert.lam[1:], cert.nu)
         assert verify_certificate(p, bad) is False
 
