@@ -162,13 +162,6 @@ def prove(problem: Problem) -> ProveResult:
     return ProveResult(problem, tuple(results))
 
 
-def prove_equality(problem: Problem) -> ProveResult:
-    """Both directions of an equality; proven only if both are."""
-    if problem.relation.op is not RelOp.EQ:
-        raise ValueError("prove_equality expects an '=' relation")
-    return prove(problem)
-
-
 def _ray_summary(ray: CanonicalVector, objective: CanonicalVector, u: VarUniverse) -> str:
     lines = ["ray witness (objective decreases along this direction of the cone):"]
     for mask, coeff in ray.nonzero():

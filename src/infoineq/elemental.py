@@ -14,14 +14,18 @@ and golden tests rely on this order being stable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .canonical import CanonicalVector, cond_entropy, measure_vector, mutual_info
-from .errors import InfeasibleDecompositionError
-from .parser import Measure
+from .canonical import CanonicalVector
+from .parser import Entropy, Measure
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -86,21 +90,77 @@ def _ascending_submasks(mask: int):
 
 
 def enumerate_eims(n: int) -> ElementalMatrix:
-    """Build the elemental matrix for n variables, rows in the documented order."""
+    """Build the elemental matrix for n variables, rows in the documented order.
+
+    The four masks of a mutual information row are distinct, so every row is
+    written by direct assignment of +-1 into a zero vector; mask 0 (the empty
+    set) has no coordinate and is skipped.
+    """
     if n < 1:
         raise ValueError("universe size must be at least 1")
     full = (1 << n) - 1
+    zero = [_ZERO] * full
     rows: list[ElementalTerm] = []
     for i in range(1, n + 1):
         rest = full & ~(1 << (i - 1))
-        rows.append(ElementalTerm(i, None, rest, cond_entropy(1 << (i - 1), rest, n)))
+        coeffs = zero.copy()
+        coeffs[full - 1] = _ONE
+        if rest:
+            coeffs[rest - 1] = _MINUS_ONE
+        rows.append(ElementalTerm(i, None, rest, CanonicalVector(n, tuple(coeffs))))
     for i in range(1, n + 1):
+        bit_i = 1 << (i - 1)
         for j in range(i + 1, n + 1):
-            others = full & ~(1 << (i - 1)) & ~(1 << (j - 1))
-            for k_mask in _ascending_submasks(others):
-                row = mutual_info(1 << (i - 1), 1 << (j - 1), k_mask, n)
-                rows.append(ElementalTerm(i, j, k_mask, row))
+            bit_j = 1 << (j - 1)
+            for k_mask in _ascending_submasks(full & ~bit_i & ~bit_j):
+                coeffs = zero.copy()
+                coeffs[(bit_i | k_mask) - 1] = _ONE
+                coeffs[(bit_j | k_mask) - 1] = _ONE
+                coeffs[(bit_i | bit_j | k_mask) - 1] = _MINUS_ONE
+                if k_mask:
+                    coeffs[k_mask - 1] = _MINUS_ONE
+                rows.append(ElementalTerm(i, j, k_mask, CanonicalVector(n, tuple(coeffs))))
     return ElementalMatrix(n, tuple(rows))
+
+
+def eim_index(n: int, i: int, j: int | None, cond: int) -> int:
+    """Position in `enumerate_eims(n)` of H(X_i | rest) (j None) or I(X_i;X_j|X_cond).
+
+    Mutual information rows need i < j and cond disjoint from both.  The rank
+    of cond among the ascending submasks of the other variables is cond with
+    the bits of i and j squeezed out.
+    """
+    if j is None:
+        return i - 1
+    pairs_before = (i - 1) * n - (i - 1) * i // 2 + (j - i - 1)
+    low = cond & ((1 << (i - 1)) - 1)
+    mid = (cond >> i) & ((1 << (j - i - 1)) - 1)
+    high = cond >> j
+    rank = low | mid << (i - 1) | high << (j - 2)
+    return n + (pairs_before << (n - 2)) + rank
+
+
+def cond_entropy_eims(x: int, given: int, n: int) -> list[int]:
+    """Rows of `enumerate_eims(n)` that sum to H(X_x | X_given), x not in given.
+
+    H(X_x | B) = H(X_x | rest) + sum_k I(X_x ; X_tk | B + {t1..t(k-1)}), with
+    t running over the variables outside B and x in descending index order:
+    each step is the chain rule H(x|A) = H(x|A+t) + I(x;t|A).
+    """
+    rows = [x - 1]
+    cond = given
+    for t in range(n, 0, -1):
+        bit = 1 << (t - 1)
+        if t == x or cond & bit:
+            continue
+        rows.append(eim_index(n, min(x, t), max(x, t), cond))
+        cond |= bit
+    return rows
+
+
+def _bits(mask: int) -> list[int]:
+    """1-based positions of the set bits of mask, ascending."""
+    return [k + 1 for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def bim_to_eim_decomposition(
@@ -108,17 +168,35 @@ def bim_to_eim_decomposition(
 ) -> list[tuple[ElementalTerm, Fraction]]:
     """Write a basic measure as a nonnegative combination of elemental measures.
 
-    Every entropy or conditional mutual information term admits such a
-    combination; failure indicates an internal inconsistency, not bad input.
-    Pass a prebuilt matrix to amortize construction over many calls.
-    """
-    from . import lp  # deferred: lp depends on this module's types
+    Closed form by the chain rule.  With A' = A - G, B' = B - G and
+    C = A' & B',
 
+        I(A;B|G) = H(C|G) + sum_ij I(a_i ; b_j | G + C + a_<i + b_<j)
+        H(A|G)   = sum_i H(a_i | G + a_<i)
+
+    where a_i runs over A' - C (A' for the entropy) and b_j over B' - C in
+    ascending index order, and each H(x|B) is expanded by `cond_entropy_eims`.
+    Repeated rows are merged; the terms come back in canonical row order,
+    taken from `matrix` (built when not given).
+    """
     if matrix is None:
         matrix = enumerate_eims(n)
-    target = measure_vector(b, n)
-    result = lp.nonneg_combination(target, matrix, None)
-    if not isinstance(result, lp.Certificate):
-        raise InfeasibleDecompositionError(
-            "a basic measure failed to decompose over the elemental measures")
-    return [(term, coeff) for term, coeff in zip(matrix.rows, result.lam) if coeff]
+    if isinstance(b, Entropy):
+        chain, left, right = b.alpha & ~b.gamma, 0, 0
+    else:
+        left, right = b.alpha & ~b.gamma, b.beta & ~b.gamma
+        chain = left & right
+        left, right = left & ~chain, right & ~chain
+    counts: Counter[int] = Counter()
+    cond = b.gamma
+    for x in _bits(chain):
+        counts.update(cond_entropy_eims(x, cond, n))
+        cond |= 1 << (x - 1)
+    a_cond = cond
+    for a in _bits(left):
+        b_cond = a_cond
+        for bj in _bits(right):
+            counts[eim_index(n, min(a, bj), max(a, bj), b_cond)] += 1
+            b_cond |= 1 << (bj - 1)
+        a_cond |= 1 << (a - 1)
+    return [(matrix.rows[row], Fraction(counts[row])) for row in sorted(counts)]

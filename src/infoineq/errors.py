@@ -61,12 +61,5 @@ class DimensionMismatchError(InfoIneqError):
     """Vectors or matrices built for different universe sizes were mixed."""
 
 
-class InfeasibleDecompositionError(InfoIneqError):
-    """A basic measure failed to decompose over the elemental measures.
-
-    This cannot happen for a well-formed input; it signals an internal bug.
-    """
-
-
 class UnverifiedCertificateError(InfoIneqError):
     """A proof was requested from a certificate that does not verify."""

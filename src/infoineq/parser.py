@@ -3,7 +3,7 @@
 Grammar (whitespace between tokens is insignificant):
 
     expr       := ['+'|'-'] term (('+'|'-') term)*
-    term       := '0' | [rat '*'?] measure
+    term       := '0' | [rat '*'?] (measure | '(' expr ')')
     rat        := int ['/' int]
     measure    := 'H' '(' vlist ['|' vlist] ')'
                 | 'I' '(' vlist ';' vlist ['|' vlist] ')'
@@ -355,22 +355,25 @@ def _parse_rational(stream: _TokenStream) -> Fraction:
     return Fraction(num)
 
 
-def _parse_term(stream: _TokenStream, u: VarUniverse, sign: int) -> tuple[Fraction, Measure] | None:
-    """One term; returns None for a bare `0`."""
+def _parse_term(stream: _TokenStream, u: VarUniverse, sign: int) -> list[tuple[Fraction, Measure]]:
+    """One term, as its signed measures: none for a bare `0`, several for a group."""
     tok = stream.peek()
     coeff = Fraction(1)
     if tok.kind == "int":
         after = stream.tokens[stream.i + 1]
         bare_zero = tok.text == "0" and not (
-            after.kind == "ident" or (after.kind == "punct" and after.text in ("*", "/"))
+            after.kind == "ident" or (after.kind == "punct" and after.text in ("*", "/", "("))
         )
         if bare_zero:
             stream.next()
-            return None
+            return []
         coeff = _parse_rational(stream)
         stream.accept("*")
-    measure = _parse_measure(stream, u)
-    return (sign * coeff, measure)
+    if stream.accept("("):
+        group = _parse_expr(stream, u)
+        stream.expect(")")
+        return list(group.scaled(sign * coeff).terms)
+    return [(sign * coeff, _parse_measure(stream, u))]
 
 
 def parse_expr(text: str, u: VarUniverse) -> InfoExpr:
@@ -390,16 +393,12 @@ def _parse_expr(stream: _TokenStream, u: VarUniverse) -> InfoExpr:
         sign = -1
     else:
         stream.accept("+")
-    term = _parse_term(stream, u, sign)
-    if term is not None:
-        terms.append(term)
+    terms += _parse_term(stream, u, sign)
     while True:
         tok = stream.peek()
         if tok.kind == "punct" and tok.text in ("+", "-"):
             stream.next()
-            term = _parse_term(stream, u, 1 if tok.text == "+" else -1)
-            if term is not None:
-                terms.append(term)
+            terms += _parse_term(stream, u, 1 if tok.text == "+" else -1)
         else:
             break
     return InfoExpr(tuple(terms))

@@ -146,12 +146,34 @@ def compose_document(form: ElementalForm) -> ProofDocument:
     )
 
 
+_MEASURE_RE = re.compile(r"[HI]\([^()]*\)")
+
+
+def _needs_parens(coeff: Fraction, label: str, first: bool) -> bool:
+    """Whether a label must be grouped to be read with this multiplier.
+
+    Elemental labels are single measures and never need it.  A constraint
+    label may have several terms or its own coefficient: `2 (A - B)` and
+    `- (A - B)` need the group, `- 1/2 A` and `+ A - B` do not.
+    """
+    if _MEASURE_RE.fullmatch(label):
+        return False
+    negated = label.startswith("-")
+    if abs(coeff) != 1:
+        return True
+    if coeff < 0:
+        return negated or " + " in label or " - " in label
+    return negated and not first
+
+
 def _join_terms(terms: tuple[tuple[Fraction, str], ...]) -> str:
     if not terms:
         return "0"
     parts: list[str] = []
     for k, (coeff, label) in enumerate(terms):
         mag = abs(coeff)
+        if _needs_parens(coeff, label, k == 0):
+            label = f"({label})"
         body = label if mag == 1 else f"{mag} {label}"
         if k == 0:
             parts.append(f"-{body}" if coeff < 0 else body)

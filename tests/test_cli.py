@@ -11,7 +11,7 @@ from infoineq.cli import (
     ProblemFileError,
     main,
     parse_problem_file,
-    prove_equality,
+    prove,
 )
 from infoineq.parser import parse_constraint, parse_relation, parse_universe
 
@@ -170,15 +170,9 @@ class TestEqualities:
         u = parse_universe("X,Y,Z")
         decls = (parse_constraint("markov: X -> Y -> Z", u),)
         relation = parse_relation("I(X;Z|Y) = 0", u)
-        result = prove_equality(Problem(u, decls, relation))
+        result = prove(Problem(u, decls, relation))
         assert result.proven
         assert len(result.directions) == 2
-
-    def test_prove_equality_rejects_inequalities(self):
-        u = parse_universe("X,Y")
-        relation = parse_relation("H(X) <= H(X,Y)", u)
-        with pytest.raises(ValueError):
-            prove_equality(Problem(u, (), relation))
 
     def test_quiet_suppresses_direction_diagnostics(self, capsys):
         code = main(["--expr", "H(X) = H(Y)", "--vars", "X,Y", "--quiet"])

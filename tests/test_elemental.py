@@ -2,8 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from infoineq.canonical import CanonicalVector, canonicalize, measure_vector
-from infoineq.elemental import bim_to_eim_decomposition, eim_count, enumerate_eims
+from infoineq.canonical import CanonicalVector, canonicalize, cond_entropy, measure_vector, mutual_info
+from infoineq.elemental import (
+    bim_to_eim_decomposition,
+    cond_entropy_eims,
+    eim_count,
+    eim_index,
+    enumerate_eims,
+)
 from infoineq.parser import Entropy, MutualInfo, parse_expr
 
 F = Fraction
@@ -54,6 +60,37 @@ class TestEnumerate:
         for term in enumerate_eims(3).rows:
             reparsed = canonicalize(parse_expr(term.label(u3.names), u3), 3)
             assert reparsed == term.row
+
+
+class TestRowLookup:
+    def test_rows_equal_the_canonical_measures(self):
+        for n in range(1, 7):
+            for term in enumerate_eims(n).rows:
+                if term.j is None:
+                    expected = cond_entropy(1 << (term.i - 1), term.cond, n)
+                else:
+                    expected = mutual_info(1 << (term.i - 1), 1 << (term.j - 1), term.cond, n)
+                assert term.row == expected
+
+    def test_index_matches_enumeration_order(self):
+        for n in range(1, 7):
+            for k, term in enumerate(enumerate_eims(n).rows):
+                assert eim_index(n, term.i, term.j, term.cond) == k
+
+    def test_cond_entropy_rows_sum_to_the_measure(self):
+        for n in range(1, 6):
+            m = enumerate_eims(n)
+            full = (1 << n) - 1
+            for x in range(1, n + 1):
+                for given in range(full + 1):
+                    if given >> (x - 1) & 1:
+                        continue
+                    rows = cond_entropy_eims(x, given, n)
+                    assert len(set(rows)) == len(rows)
+                    total = CanonicalVector.zero(n)
+                    for row in rows:
+                        total = total + m.rows[row].row
+                    assert total == cond_entropy(1 << (x - 1), given, n)
 
 
 class TestCount:

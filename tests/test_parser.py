@@ -126,6 +126,18 @@ class TestParseExpr:
         e = parse_expr("0 H(X1)", u2)
         assert e.terms == ((Fraction(0), Entropy(0b01)),)
 
+    def test_parenthesized_group_is_distributed(self, u2):
+        e = parse_expr("- 2/5 (1/2 I(X1;X2) - H(X1)) + (H(X2))", u2)
+        assert e.terms == (
+            (Fraction(-1, 5), MutualInfo(0b01, 0b10)),
+            (Fraction(2, 5), Entropy(0b01)),
+            (Fraction(1), Entropy(0b10)),
+        )
+
+    def test_unclosed_group(self, u2):
+        with pytest.raises(ParseError):
+            parse_expr("2 (H(X1) - H(X2)", u2)
+
     def test_leading_minus(self, u4):
         e = parse_expr("-I(A;D) + I(B;C)", u4)
         assert e.terms[0] == (Fraction(-1), MutualInfo(0b0001, 0b1000))

@@ -8,7 +8,7 @@ from infoineq.canonical import canonicalize
 from infoineq.constraints import build_constraint_matrix
 from infoineq.errors import UnverifiedCertificateError
 from infoineq.lp import Certificate, ConeProblem, ProvenSTI, solve
-from infoineq.parser import parse_constraint, parse_relation
+from infoineq.parser import parse_constraint, parse_expr, parse_relation
 from infoineq.proof import (
     build_elemental_form,
     difference_expr,
@@ -89,6 +89,37 @@ class TestRenderText:
     def test_unconstrained_proof_omits_assume_section(self, u2, g2):
         _, _, form = _prove("H(X1) >= 0", u2, g2)
         assert "Assume:" not in render_text(form)
+
+
+def _identity_sides(text, u):
+    lines = text.split("\n")
+    lhs, rhs = lines[lines.index("Difference in elemental form:") + 1].strip().split(" = ", 1)
+    return canonicalize(parse_expr(lhs, u), u.n), canonicalize(parse_expr(rhs, u), u.n)
+
+
+class TestIdentityLineReparses:
+    """The printed identity is true as printed: its right side re-parses to its left."""
+
+    @pytest.mark.parametrize("relation, constraint, nu", [
+        # multi-term constraint label under a multiplier
+        ("2 I(X;Y) >= 2 H(Z|X)", "I(X;Y) - H(Z|X) = 0", F(-2)),
+        # label with its own coefficient under a multiplier
+        ("1/3 H(X,Y) >= 1/5 H(X) + 1/3 H(Y)", "1/2 I(X;Y) = 0", F(2, 5)),
+        # multi-term constraint label, nu = +1: printed with a minus sign
+        ("H(X,Y) >= H(X) + H(Y)", "H(X) + H(Y) - H(X,Y) = 0", F(1)),
+        # multi-term constraint label, nu = -1: printed as it is
+        ("H(X,Y) >= H(X) + H(Y)", "H(X,Y) - H(X) - H(Y) = 0", F(-1)),
+    ])
+    def test_rhs_canonicalizes_to_lhs(self, u3, g3, relation, constraint, nu):
+        _, cert, form = _prove(relation, u3, g3, (constraint,))
+        assert cert.nu == (nu,)
+        lhs, rhs = _identity_sides(render_text(form), u3)
+        assert lhs == rhs
+
+    def test_grouped_labels_in_text_and_latex(self, u3, g3):
+        _, _, form = _prove("2 I(X;Y) >= 2 H(Z|X)", u3, g3, ("I(X;Y) - H(Z|X) = 0",))
+        assert "= 2 (I(X;Y) - H(Z|X))\n" in render_text(form)
+        assert "&= 2 (I(X;Y) - H(Z \\mid X))" in render_latex(form)
 
 
 class TestRenderLatex:
