@@ -8,27 +8,16 @@ back as a machine-verifiable analytic proof.
 """
 
 from .canonical import CanonicalVector, canonicalize, cond_entropy, joint_entropy, mutual_info
-from .constraints import (
-    ConstraintMatrix,
-    ConstraintRow,
-    build_constraint_matrix,
-    compile_explicit,
-    compile_factorization,
-    compile_funcdep,
-    compile_indep,
-    compile_markov,
-)
+from .constraints import ConstraintMatrix, ConstraintRow, build_constraint_matrix
 from .elemental import ElementalMatrix, ElementalTerm, bim_to_eim_decomposition, eim_count, enumerate_eims
 from .errors import InfoIneqError, ParseError
 from .lp import (
     Certificate,
     ConeProblem,
-    InfeasibleCombination,
     NotProvable,
     ProvenSTI,
     SolveOutcome,
     is_disproof_ray,
-    nonneg_combination,
     solve,
     verify_certificate,
 )
@@ -73,7 +62,6 @@ __all__ = [
     "Explicit",
     "Factorization",
     "FuncDep",
-    "InfeasibleCombination",
     "InfoExpr",
     "InfoIneqError",
     "MarkovChain",
@@ -91,18 +79,12 @@ __all__ = [
     "build_constraint_matrix",
     "build_elemental_form",
     "canonicalize",
-    "compile_explicit",
-    "compile_factorization",
-    "compile_funcdep",
-    "compile_indep",
-    "compile_markov",
     "cond_entropy",
     "eim_count",
     "enumerate_eims",
     "is_disproof_ray",
     "joint_entropy",
     "mutual_info",
-    "nonneg_combination",
     "parse_constraint",
     "parse_expr",
     "parse_relation",

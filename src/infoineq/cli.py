@@ -69,6 +69,7 @@ class DirectionResult:
     """Outcome for one direction of the statement."""
 
     relation: Relation  # directed: op is LEQ or GEQ
+    objective: CanonicalVector  # difference whose nonnegativity is the relation
     outcome: SolveOutcome
     form: ElementalForm | None  # present iff proven
 
@@ -158,7 +159,7 @@ def prove(problem: Problem) -> ProveResult:
         form = None
         if isinstance(outcome, ProvenSTI):
             form = build_elemental_form(cone, outcome.certificate, directed, u)
-        results.append(DirectionResult(directed, outcome, form))
+        results.append(DirectionResult(directed, objective, outcome, form))
     return ProveResult(problem, tuple(results))
 
 
@@ -255,8 +256,7 @@ def _emit(result: ProveResult, fmt: str, quiet: bool) -> int:
             if isinstance(d.outcome, NotProvable):
                 if len(result.directions) > 1:
                     print(f"direction {_direction_tag(d.relation)} failed:", file=sys.stderr)
-                objective = canonicalize(difference_expr(d.relation), u.n)
-                print(_ray_summary(d.outcome.ray, objective, u), end="", file=sys.stderr)
+                print(_ray_summary(d.outcome.ray, d.objective, u), end="", file=sys.stderr)
     return 1
 
 

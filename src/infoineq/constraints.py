@@ -13,24 +13,19 @@ vanish on every admissible entropy vector:
   * explicit: the canonical vector of the given expression.
 
 Every row keeps a label that reparses to exactly the stored vector, plus the
-declaration that produced it; proofs quote both.
+declaration that produced it; proofs quote both.  `build_constraint_matrix`
+is the entry point: it checks each declaration with
+`parser.validate_constraint` before compiling it, so the compilers here
+assume valid input and check nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .canonical import CanonicalVector, canonicalize
-from .errors import (
-    DimensionMismatchError,
-    EmptySetError,
-    OverlappingBlocksError,
-    OverlappingGroupsError,
-    InvalidFactorizationError,
-    TooFewBlocksError,
-)
 from .parser import (
     ConstraintDecl,
     Entropy,
@@ -45,6 +40,7 @@ from .parser import (
     render_constraint,
     render_expr,
     render_measure,
+    validate_constraint,
 )
 
 
@@ -76,18 +72,9 @@ def _mi_row(alpha: int, beta: int, gamma: int, u: VarUniverse,
     return ConstraintRow(canonicalize(expr, u.n), render_measure(measure, u), origin, origin_text)
 
 
-def compile_markov(blocks: Sequence[int], u: VarUniverse) -> list[ConstraintRow]:
+def _markov_rows(decl: MarkovChain, u: VarUniverse) -> list[ConstraintRow]:
     """Cut conditions of a Markov chain: one row per interior block."""
-    if len(blocks) < 3:
-        raise TooFewBlocksError(f"a Markov chain needs at least 3 blocks, got {len(blocks)}")
-    seen = 0
-    for block in blocks:
-        if block == 0:
-            raise EmptySetError("Markov blocks must be nonempty")
-        if block & seen:
-            raise OverlappingBlocksError("Markov blocks must be pairwise disjoint")
-        seen |= block
-    decl = MarkovChain(tuple(blocks))
+    blocks = decl.blocks
     text = render_constraint(decl, u)
     rows = []
     for k in range(1, len(blocks) - 1):
@@ -101,50 +88,32 @@ def compile_markov(blocks: Sequence[int], u: VarUniverse) -> list[ConstraintRow]
     return rows
 
 
-def compile_indep(groups: Sequence[int], u: VarUniverse) -> list[ConstraintRow]:
+def _indep_rows(decl: MutualIndep, u: VarUniverse) -> list[ConstraintRow]:
     """Mutual independence of groups: H(union) = sum of group entropies."""
-    if len(groups) < 2:
-        raise ValueError("independence needs at least 2 groups")
     union = 0
-    for g in groups:
-        if g == 0:
-            raise EmptySetError("independence groups must be nonempty")
-        if g & union:
-            raise OverlappingGroupsError("independence groups must be pairwise disjoint")
+    for g in decl.groups:
         union |= g
-    decl = MutualIndep(tuple(groups))
-    text = render_constraint(decl, u)
     terms = [(Fraction(1), Entropy(union))]
-    terms += [(Fraction(-1), Entropy(g)) for g in groups]
+    terms += [(Fraction(-1), Entropy(g)) for g in decl.groups]
     expr = InfoExpr(tuple(terms))
-    return [ConstraintRow(canonicalize(expr, u.n), render_expr(expr, u), decl, text)]
+    return [ConstraintRow(canonicalize(expr, u.n), render_expr(expr, u), decl,
+                          render_constraint(decl, u))]
 
 
-def compile_funcdep(target: int, source: int, u: VarUniverse) -> ConstraintRow:
+def _funcdep_rows(decl: FuncDep, u: VarUniverse) -> list[ConstraintRow]:
     """Functional dependency: H(target | source) = 0."""
-    if target == 0 or source == 0:
-        raise EmptySetError("functional dependency needs nonempty sets")
-    decl = FuncDep(target, source)
-    measure = Entropy(target, source)
+    measure = Entropy(decl.target, decl.source)
     expr = InfoExpr(((Fraction(1), measure),))
-    return ConstraintRow(canonicalize(expr, u.n), render_measure(measure, u),
-                         decl, render_constraint(decl, u))
+    return [ConstraintRow(canonicalize(expr, u.n), render_measure(measure, u),
+                          decl, render_constraint(decl, u))]
 
 
-def compile_factorization(factors: Sequence[tuple[int, int]], u: VarUniverse) -> list[ConstraintRow]:
+def _factorization_rows(decl: Factorization, u: VarUniverse) -> list[ConstraintRow]:
     """Conditional independencies read off an ordered PMF factorization."""
-    decl = Factorization(tuple(factors))
     text = render_constraint(decl, u)
     introduced = 0
     rows = []
-    for k, (head, given) in enumerate(factors):
-        if head == 0:
-            raise InvalidFactorizationError("factor heads must be nonempty")
-        if head & introduced:
-            raise InvalidFactorizationError("a variable appears in more than one factor head")
-        if given & ~introduced:
-            raise InvalidFactorizationError(
-                "a factor conditions on a variable no earlier factor introduces")
+    for k, (head, given) in enumerate(decl.factors):
         if k >= 1:
             rest = introduced & ~given
             if rest:
@@ -153,24 +122,19 @@ def compile_factorization(factors: Sequence[tuple[int, int]], u: VarUniverse) ->
     return rows
 
 
-def compile_explicit(e: InfoExpr, u: VarUniverse) -> ConstraintRow:
+def _explicit_rows(decl: Explicit, u: VarUniverse) -> list[ConstraintRow]:
     """A user-supplied expression asserted to equal zero."""
-    decl = Explicit(e)
-    return ConstraintRow(canonicalize(e, u.n), render_expr(e, u), decl, render_constraint(decl, u))
+    return [ConstraintRow(canonicalize(decl.expr, u.n), render_expr(decl.expr, u), decl,
+                          render_constraint(decl, u))]
 
 
-def _compile_decl(decl: ConstraintDecl, u: VarUniverse) -> list[ConstraintRow]:
-    if isinstance(decl, MarkovChain):
-        return compile_markov(decl.blocks, u)
-    if isinstance(decl, MutualIndep):
-        return compile_indep(decl.groups, u)
-    if isinstance(decl, FuncDep):
-        return [compile_funcdep(decl.target, decl.source, u)]
-    if isinstance(decl, Factorization):
-        return compile_factorization(decl.factors, u)
-    if isinstance(decl, Explicit):
-        return [compile_explicit(decl.expr, u)]
-    raise TypeError(f"unknown constraint declaration {decl!r}")
+_ROWS = {
+    MarkovChain: _markov_rows,
+    MutualIndep: _indep_rows,
+    FuncDep: _funcdep_rows,
+    Factorization: _factorization_rows,
+    Explicit: _explicit_rows,
+}
 
 
 def dedup_rows(rows: Iterable[ConstraintRow]) -> tuple[ConstraintRow, ...]:
@@ -189,11 +153,12 @@ def dedup_rows(rows: Iterable[ConstraintRow]) -> tuple[ConstraintRow, ...]:
 
 
 def build_constraint_matrix(decls: Iterable[ConstraintDecl], u: VarUniverse) -> ConstraintMatrix:
-    """Compile all declarations, drop zero rows, deduplicate, keep provenance."""
+    """Validate and compile all declarations, drop zero rows, deduplicate, keep provenance."""
     rows: list[ConstraintRow] = []
     for decl in decls:
-        rows.extend(_compile_decl(decl, u))
-    for row in rows:
-        if row.row.n != u.n:
-            raise DimensionMismatchError("constraint row built for a different universe")
+        compile_rows = _ROWS.get(type(decl))
+        if compile_rows is None:
+            raise TypeError(f"unknown constraint declaration {decl!r}")
+        validate_constraint(decl, u)
+        rows.extend(compile_rows(decl, u))
     return ConstraintMatrix(u.n, dedup_rows(rows))

@@ -34,7 +34,12 @@ class MissingRelationalOperatorError(ParseError):
 
 
 class ConstraintError(InfoIneqError):
-    """Invalid constraint declaration (raised by the parser or the compilers)."""
+    """Invalid constraint declaration.
+
+    Raised by one validator, `parser.validate_constraint`, which both
+    `parse_constraint` and `build_constraint_matrix` call.  An empty set in a
+    declaration raises `EmptySetError` from the same validator.
+    """
 
 
 class OverlappingBlocksError(ConstraintError):

@@ -1,5 +1,9 @@
 """Exact decision layer: cone membership and multiplier extraction.
 
+`solve(ConeProblem)` is the one entry point.  It returns ProvenSTI with the
+multipliers of a proof or NotProvable with a disproof ray, and checks either
+answer exactly against the problem before returning it.
+
 A candidate inequality "objective . h >= 0 for every h with Eh >= 0, Ch = 0"
 (E the elemental rows, C the constraint rows) holds iff the objective lies in
 the cone generated by the rows of E plus the row span of C, i.e. iff there
@@ -102,13 +106,6 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class InfeasibleCombination:
-    """No nonnegative combination exists; `witness` separates the target."""
-
-    witness: CanonicalVector  # E.witness >= 0, C.witness = 0, target.witness < 0
-
-
-@dataclass(frozen=True)
 class ProvenSTI:
     """The inequality is a (constrained) Shannon-type inequality."""
 
@@ -123,7 +120,7 @@ class NotProvable:
     rows describe a strict outer bound of the entropic region.
     """
 
-    ray: CanonicalVector
+    ray: CanonicalVector  # E.ray >= 0, C.ray = 0, objective.ray < 0
 
 
 SolveOutcome = ProvenSTI | NotProvable
@@ -343,20 +340,16 @@ def _lift_ray(ray: CanonicalVector, expand: list[int], n: int) -> CanonicalVecto
         coeffs[narrow[a & support] - 1] if a & support else _ZERO for a in range(1, 1 << n)))
 
 
-def nonneg_combination(
-    target: CanonicalVector,
-    elemental: ElementalMatrix,
-    constraints: ConstraintMatrix | None = None,
-) -> Certificate | InfeasibleCombination:
-    """Find lam >= 0 and nu with E^T lam - C^T nu = target, or a separating witness.
+def solve(p: ConeProblem) -> SolveOutcome:
+    """Decide the cone problem: find lam >= 0 and nu with E^T lam - C^T nu = objective.
 
-    The system is solved over the variables the target and constraints use
+    The zero vector always satisfies the constraints, so the minimum of the
+    objective over the cone is either exactly zero (proven, with a
+    certificate) or unbounded below (not provable, with a witness ray).  The
+    system is solved over the variables the objective and constraints use
     and the answer lifted back (see the module docstring).
     """
-    if elemental.n != target.n:
-        raise DimensionMismatchError("elemental matrix built for a different universe")
-    if constraints is not None and constraints.n != target.n:
-        raise DimensionMismatchError("constraint matrix built for a different universe")
+    target, elemental, constraints = p.objective, p.elemental, p.constraints
     n = target.n
     qrows = _constraint_rows(constraints)
     support = _support(target, constraints)
@@ -383,13 +376,13 @@ def nonneg_combination(
         # here is a solver bug, never a property of the input.
         if not _combination_matches(target, elemental, constraints, cert):
             raise AssertionError("internal error: simplex produced an invalid certificate")
-        return cert
-    witness = CanonicalVector(sub_target.n, tuple(-v for v in farkas))
+        return ProvenSTI(cert)
+    ray = CanonicalVector(sub_target.n, tuple(-v for v in farkas))
     if reduced:
-        witness = _lift_ray(witness, expand, n)
-    if not _witness_is_valid(target, elemental, constraints, witness):
+        ray = _lift_ray(ray, expand, n)
+    if not _witness_is_valid(target, elemental, constraints, ray):
         raise AssertionError("internal error: simplex produced an invalid witness")
-    return InfeasibleCombination(witness)
+    return NotProvable(ray)
 
 
 def _combination_matches(
@@ -425,19 +418,6 @@ def _witness_is_valid(
     if any(term.row.dot(witness) < 0 for term in elemental.rows):
         return False
     return all(row.row.dot(witness) == 0 for row in _constraint_rows(constraints))
-
-
-def solve(p: ConeProblem) -> SolveOutcome:
-    """Decide the cone problem.
-
-    The zero vector always satisfies the constraints, so the minimum of the
-    objective over the cone is either exactly zero (proven, with a
-    certificate) or unbounded below (not provable, with a witness ray).
-    """
-    result = nonneg_combination(p.objective, p.elemental, p.constraints)
-    if isinstance(result, Certificate):
-        return ProvenSTI(result)
-    return NotProvable(result.witness)
 
 
 def verify_certificate(p: ConeProblem, c: Certificate) -> bool:

@@ -40,6 +40,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DuplicateNameError,
     EmptyArgumentListError,
+    EmptySetError,
     InvalidFactorizationError,
     MissingRelationalOperatorError,
     OverlappingBlocksError,
@@ -186,6 +187,51 @@ class Factorization:
 
 
 ConstraintDecl = MarkovChain | MutualIndep | FuncDep | Explicit | Factorization
+
+
+def validate_constraint(decl: ConstraintDecl, u: VarUniverse) -> None:
+    """Check a declaration against the rules of its kind; the one place they live.
+
+    `parse_constraint` and `build_constraint_matrix` both call it, so a
+    declaration built in code meets the same rules, errors and messages as a
+    parsed one.  A factorization describes the joint PMF of the variables it
+    names; declared variables it leaves out are unconstrained.
+    """
+    if isinstance(decl, MarkovChain):
+        _check_sets(decl.blocks, 3, "Markov blocks", OverlappingBlocksError, u)
+    elif isinstance(decl, MutualIndep):
+        _check_sets(decl.groups, 2, "independence groups", OverlappingGroupsError, u)
+    elif isinstance(decl, FuncDep):
+        if not decl.target or not decl.source:
+            raise EmptySetError("functional dependency needs nonempty sets")
+    elif isinstance(decl, Factorization):
+        introduced = 0
+        for head, given in decl.factors:
+            if not head:
+                raise EmptySetError("factor heads must be nonempty")
+            if head & introduced:
+                dup = u.set_label(head & introduced)
+                raise InvalidFactorizationError(
+                    f"variable(s) {dup} appear in more than one factor head")
+            if given & ~introduced:
+                missing = u.set_label(given & ~introduced)
+                raise InvalidFactorizationError(
+                    f"factor conditions on {missing} before any factor introduces it")
+            introduced |= head
+
+
+def _check_sets(masks: Sequence[int], least: int, what: str, overlap_error: type,
+                u: VarUniverse) -> None:
+    """At least `least` nonempty, pairwise disjoint sets."""
+    if len(masks) < least:
+        raise TooFewBlocksError(f"need at least {least} {what}, got {len(masks)}")
+    seen = 0
+    for mask in masks:
+        if not mask:
+            raise EmptySetError(f"{what} must be nonempty")
+        if mask & seen:
+            raise overlap_error(f"{what} must be pairwise disjoint; {u.set_label(mask & seen)} repeats")
+        seen |= mask
 
 
 # ---------------------------------------------------------------------------
@@ -450,39 +496,27 @@ def parse_constraint(text: str, u: VarUniverse) -> ConstraintDecl:
     stream = _TokenStream(text)
     keyword = _keyword(stream)
     if keyword == "markov":
-        decl = _parse_markov(stream, u)
+        decl = MarkovChain(_parse_blocks(stream, u, "->"))
     elif keyword == "indep":
-        decl = _parse_indep(stream, u)
+        decl = MutualIndep(_parse_blocks(stream, u, ";"))
     elif keyword == "func":
         decl = _parse_func(stream, u)
     elif keyword == "factor":
         decl = _parse_factor(stream, u)
     else:
         return _parse_explicit(text, u)
+    validate_constraint(decl, u)
     end = stream.peek()
     if end.kind != "eof":
         raise ParseError(f"unexpected trailing input {end.text!r}", offset=end.pos)
     return decl
 
 
-def _parse_markov(stream: _TokenStream, u: VarUniverse) -> MarkovChain:
+def _parse_blocks(stream: _TokenStream, u: VarUniverse, separator: str) -> tuple[int, ...]:
     blocks = [_parse_block(stream, u)]
-    while stream.accept("->"):
+    while stream.accept(separator):
         blocks.append(_parse_block(stream, u))
-    if len(blocks) < 3:
-        raise TooFewBlocksError(f"a Markov chain needs at least 3 blocks, got {len(blocks)}")
-    _check_disjoint(blocks, u, OverlappingBlocksError, "Markov blocks")
-    return MarkovChain(tuple(blocks))
-
-
-def _parse_indep(stream: _TokenStream, u: VarUniverse) -> MutualIndep:
-    groups = [_parse_block(stream, u)]
-    while stream.accept(";"):
-        groups.append(_parse_block(stream, u))
-    if len(groups) < 2:
-        raise ParseError("independence needs at least 2 groups")
-    _check_disjoint(groups, u, OverlappingGroupsError, "independence groups")
-    return MutualIndep(tuple(groups))
+    return tuple(blocks)
 
 
 def _parse_func(stream: _TokenStream, u: VarUniverse) -> FuncDep:
@@ -514,7 +548,6 @@ def _parse_factor(stream: _TokenStream, u: VarUniverse) -> Factorization:
         factors.append((head, given))
     if not factors:
         raise ParseError("expected at least one factor P(...)", offset=stream.peek().pos)
-    _validate_factorization(factors, u)
     return Factorization(tuple(factors))
 
 
@@ -523,31 +556,6 @@ def _parse_explicit(text: str, u: VarUniverse) -> Explicit:
     if rel.op is not RelOp.EQ:
         raise ParseError("explicit constraints must be equalities (use '= 0')")
     return Explicit(rel.lhs - rel.rhs)
-
-
-def _check_disjoint(masks: Sequence[int], u: VarUniverse, error: type, what: str) -> None:
-    seen = 0
-    for mask in masks:
-        if mask & seen:
-            overlap = u.set_label(mask & seen)
-            raise error(f"{what} must be pairwise disjoint; {overlap} repeats")
-        seen |= mask
-
-
-def _validate_factorization(factors: Sequence[tuple[int, int]], u: VarUniverse) -> None:
-    introduced = 0
-    for head, given in factors:
-        if head & introduced:
-            dup = u.set_label(head & introduced)
-            raise InvalidFactorizationError(f"variable(s) {dup} appear in more than one factor head")
-        if given & ~introduced:
-            missing = u.set_label(given & ~introduced)
-            raise InvalidFactorizationError(
-                f"factor conditions on {missing} before any factor introduces it")
-        introduced |= head
-    if introduced != u.full_mask:
-        missing = u.set_label(u.full_mask & ~introduced)
-        raise InvalidFactorizationError(f"factorization does not cover variable(s) {missing}")
 
 
 # ---------------------------------------------------------------------------

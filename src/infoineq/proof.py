@@ -59,7 +59,6 @@ class ElementalForm:
 
     universe: VarUniverse
     relation: Relation
-    n: int
     eim_terms: tuple[tuple[Fraction, str], ...]
     constraint_terms: tuple[tuple[Fraction, str, str], ...]
     constraint_groups: tuple[tuple[str, tuple[str, ...]], ...]
@@ -90,7 +89,6 @@ def build_elemental_form(
     form = ElementalForm(
         universe=universe,
         relation=relation,
-        n=universe.n,
         eim_terms=eim_terms,
         constraint_terms=constraint_terms,
         constraint_groups=tuple((decl, tuple(labels)) for decl, labels in groups),
@@ -101,12 +99,13 @@ def build_elemental_form(
 
 def _check_identity(form: ElementalForm) -> None:
     """Recompute both sides of the identity from the labels alone."""
-    total = CanonicalVector.zero(form.n)
+    u = form.universe
+    total = CanonicalVector.zero(u.n)
     for coeff, label in form.eim_terms:
-        total = total + canonicalize(parse_expr(label, form.universe), form.n).scale(coeff)
+        total = total + canonicalize(parse_expr(label, u), u.n).scale(coeff)
     for coeff, label, _ in form.constraint_terms:
-        total = total - canonicalize(parse_expr(label, form.universe), form.n).scale(coeff)
-    expected = canonicalize(difference_expr(form.relation), form.n)
+        total = total - canonicalize(parse_expr(label, u), u.n).scale(coeff)
+    expected = canonicalize(difference_expr(form.relation), u.n)
     if total != expected:
         raise UnverifiedCertificateError("elemental form identity failed to re-verify")
 

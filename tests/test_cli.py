@@ -130,6 +130,21 @@ class TestFormats:
         ])
         assert code == 0
 
+    def test_factorization_may_omit_declared_variables(self, capsys):
+        # U is declared but not named by the factorization, which then
+        # describes the joint PMF of X, Y, Z alone.
+        code = main([
+            "--vars", "U,X,Y,Z",
+            "--assume", "factor: P(X) P(Y|X) P(Z|Y)",
+            "--expr", "I(X;Z) <= I(X;Y)",
+            "--format", "json",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        proof_check.check_proof_document(out)
+        assert json.loads(out)["constraints"] == [
+            {"decl": "factor: P(X) P(Y|X) P(Z|Y)", "rows": ["I(Z;X|Y)"]}]
+
 
 class TestEqualities:
     def test_chain_rule_identity(self, capsys):

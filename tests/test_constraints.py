@@ -3,129 +3,135 @@ from fractions import Fraction
 import pytest
 
 from infoineq.canonical import canonicalize, cond_entropy, mutual_info
-from infoineq.constraints import (
-    build_constraint_matrix,
-    compile_explicit,
-    compile_factorization,
-    compile_funcdep,
-    compile_indep,
-    compile_markov,
-    dedup_rows,
-)
+from infoineq.constraints import build_constraint_matrix, dedup_rows
 from infoineq.errors import (
     EmptySetError,
+    InvalidFactorizationError,
     OverlappingBlocksError,
     OverlappingGroupsError,
     TooFewBlocksError,
 )
-from infoineq.lp import Certificate, nonneg_combination
-from infoineq.parser import parse_constraint, parse_expr
+from infoineq.lp import ConeProblem, ProvenSTI, solve
+from infoineq.parser import (
+    Explicit,
+    Factorization,
+    FuncDep,
+    MarkovChain,
+    MutualIndep,
+    parse_constraint,
+    parse_expr,
+)
 
 F = Fraction
 
 
+def _rows(decl, u):
+    """The rows one declaration compiles to, through the public entry point."""
+    return build_constraint_matrix([decl], u).rows
+
+
 class TestMarkov:
     def test_four_singleton_blocks(self, u4):
-        rows = compile_markov([0b0001, 0b0010, 0b0100, 0b1000], u4)
+        rows = _rows(MarkovChain((0b0001, 0b0010, 0b0100, 0b1000)), u4)
         assert [r.label for r in rows] == ["I(A;C,D|B)", "I(A,B;D|C)"]
         assert rows[0].row == mutual_info(0b0001, 0b1100, 0b0010, 4)
         assert rows[1].row == mutual_info(0b0011, 0b1000, 0b0100, 4)
 
     def test_three_blocks_single_cut(self, u3):
-        rows = compile_markov([0b001, 0b010, 0b100], u3)
+        rows = _rows(MarkovChain((0b001, 0b010, 0b100)), u3)
         assert [r.label for r in rows] == ["I(X;Z|Y)"]
         assert rows[0].row == mutual_info(0b001, 0b100, 0b010, 3)
 
     def test_overlapping_blocks(self, u4):
         with pytest.raises(OverlappingBlocksError):
-            compile_markov([0b0001, 0b0001, 0b0010], u4)
+            build_constraint_matrix([MarkovChain((0b0001, 0b0001, 0b0010))], u4)
 
     def test_too_few_blocks(self, u4):
         with pytest.raises(TooFewBlocksError):
-            compile_markov([0b0001, 0b0010], u4)
+            build_constraint_matrix([MarkovChain((0b0001, 0b0010))], u4)
 
     def test_empty_block(self, u4):
         with pytest.raises(EmptySetError):
-            compile_markov([0b0001, 0, 0b0010], u4)
+            build_constraint_matrix([MarkovChain((0b0001, 0, 0b0010))], u4)
 
     def test_block_chain_five_blocks(self):
         from infoineq.parser import parse_universe
 
         u5 = parse_universe("A,B,C,D,E")
-        rows = compile_markov([1, 2, 4, 8, 16], u5)
+        rows = _rows(MarkovChain((1, 2, 4, 8, 16)), u5)
         assert [r.label for r in rows] == [
             "I(A;C,D,E|B)", "I(A,B;D,E|C)", "I(A,B,C;E|D)"]
 
 
 class TestIndep:
     def test_pair_row_matches_negated_mi(self, u2):
-        rows = compile_indep([0b01, 0b10], u2)
+        rows = _rows(MutualIndep((0b01, 0b10)), u2)
         assert len(rows) == 1
         assert rows[0].row.coeffs == (F(-1), F(-1), F(1))
         assert rows[0].label == "H(X1,X2) - H(X1) - H(X2)"
 
     def test_three_groups_single_row(self, u3):
-        rows = compile_indep([0b001, 0b010, 0b100], u3)
+        rows = _rows(MutualIndep((0b001, 0b010, 0b100)), u3)
         expected = canonicalize(
             parse_expr("H(X,Y,Z) - H(X) - H(Y) - H(Z)", u3), 3)
         assert rows[0].row == expected
 
     def test_pairwise_mode_is_separate_declarations(self, u3):
         # pairwise independence: one declaration per pair, each its own row
-        pair_rows = [compile_indep(pair, u3)[0]
-                     for pair in ([0b001, 0b010], [0b001, 0b100], [0b010, 0b100])]
+        pair_rows = [_rows(MutualIndep(pair), u3)[0]
+                     for pair in ((0b001, 0b010), (0b001, 0b100), (0b010, 0b100))]
         assert len({r.row.coeffs for r in pair_rows}) == 3
 
     def test_overlap_rejected(self, u3):
         with pytest.raises(OverlappingGroupsError):
-            compile_indep([0b011, 0b010], u3)
+            build_constraint_matrix([MutualIndep((0b011, 0b010))], u3)
 
 
 class TestFuncDep:
     def test_target_of_two_sources(self, u3):
-        row = compile_funcdep(0b100, 0b011, u3)
+        [row] = _rows(FuncDep(0b100, 0b011), u3)
         assert row.label == "H(Z|X,Y)"
         assert row.row == canonicalize(parse_expr("H(X,Y,Z) - H(X,Y)", u3), 3)
 
     def test_two_variable_row(self, u2):
-        row = compile_funcdep(0b10, 0b01, u2)
+        [row] = _rows(FuncDep(0b10, 0b01), u2)
         assert row.row.coeffs == (F(-1), F(0), F(1))
 
     def test_target_inside_source_gives_zero_row(self, u3):
-        row = compile_funcdep(0b001, 0b011, u3)
-        assert row.row.is_zero()
-        assert dedup_rows([row]) == ()
+        # H(X|X,Y) canonicalizes to zero, and zero rows are dropped.
+        assert canonicalize(parse_expr("H(X|X,Y)", u3), 3).is_zero()
+        assert _rows(FuncDep(0b001, 0b011), u3) == ()
 
     def test_empty_sets_rejected(self, u3):
         with pytest.raises(EmptySetError):
-            compile_funcdep(0, 0b001, u3)
+            build_constraint_matrix([FuncDep(0, 0b001)], u3)
 
 
 class TestFactorization:
     def test_chain_factorization(self, u4):
-        rows = compile_factorization([(0b0011, 0), (0b0100, 0b0010), (0b1000, 0b0100)], u4)
+        rows = _rows(Factorization(((0b0011, 0), (0b0100, 0b0010), (0b1000, 0b0100))), u4)
         assert [r.label for r in rows] == ["I(C;A|B)", "I(D;A,B|C)"]
 
     def test_plain_chain_rule_emits_nothing(self, u2):
-        assert compile_factorization([(0b01, 0), (0b10, 0b01)], u2) == []
+        assert _rows(Factorization(((0b01, 0), (0b10, 0b01))), u2) == ()
 
     def test_product_of_marginals(self, u2):
-        rows = compile_factorization([(0b01, 0), (0b10, 0)], u2)
+        rows = _rows(Factorization(((0b01, 0), (0b10, 0))), u2)
         assert [r.label for r in rows] == ["I(X2;X1)"]
 
 
 class TestExplicit:
     def test_single_measure(self, u3):
-        row = compile_explicit(parse_expr("I(X;Z|Y)", u3), u3)
+        [row] = _rows(Explicit(parse_expr("I(X;Z|Y)", u3)), u3)
         assert row.row == mutual_info(0b001, 0b100, 0b010, 3)
         assert row.origin_text == "I(X;Z|Y) = 0"
 
     def test_funcdep_spelled_explicitly(self, u2):
-        explicit = compile_explicit(parse_expr("H(X1|X2)", u2), u2)
+        [explicit] = _rows(Explicit(parse_expr("H(X1|X2)", u2)), u2)
         assert explicit.row == cond_entropy(0b01, 0b10, 2)
 
     def test_plain_entropy(self, u2):
-        row = compile_explicit(parse_expr("H(X1)", u2), u2)
+        [row] = _rows(Explicit(parse_expr("H(X1)", u2)), u2)
         assert row.row.coeffs == (F(1), F(0), F(0))
 
 
@@ -162,6 +168,24 @@ class TestBuildMatrix:
         rows = build_constraint_matrix(decls, u4).rows
         assert dedup_rows(rows) == rows
 
+    @pytest.mark.parametrize("text, decl, error", [
+        ("markov: A -> B", MarkovChain((0b0001, 0b0010)), TooFewBlocksError),
+        ("markov: A -> A,B -> C", MarkovChain((0b0001, 0b0011, 0b0100)), OverlappingBlocksError),
+        ("indep: A", MutualIndep((0b0001,)), TooFewBlocksError),
+        ("indep: A,B ; B", MutualIndep((0b0011, 0b0010)), OverlappingGroupsError),
+        ("factor: P(A,B) P(B,C) P(D)",
+         Factorization(((0b0011, 0), (0b0110, 0), (0b1000, 0))), InvalidFactorizationError),
+        ("factor: P(A) P(B|C) P(C,D|A)",
+         Factorization(((0b0001, 0), (0b0010, 0b0100), (0b1100, 0b0001))),
+         InvalidFactorizationError),
+    ])
+    def test_code_built_declarations_fail_like_parsed_ones(self, u4, text, decl, error):
+        with pytest.raises(error) as parsed:
+            parse_constraint(text, u4)
+        with pytest.raises(error) as built:
+            build_constraint_matrix([decl], u4)
+        assert str(built.value) == str(parsed.value)
+
     def test_labels_reparse_to_rows(self, u4):
         decls = [
             parse_constraint("markov: A -> B -> C -> D", u4),
@@ -185,5 +209,5 @@ class TestMarkovFactorizationEquivalence:
         for primal, other in ((markov, factor), (factor, markov)):
             for row in primal.rows:
                 for target in (row.row, -row.row):
-                    result = nonneg_combination(target, g4, other)
-                    assert isinstance(result, Certificate)
+                    result = solve(ConeProblem(target, g4, other))
+                    assert isinstance(result, ProvenSTI)

@@ -11,11 +11,9 @@ from infoineq.errors import DimensionMismatchError
 from infoineq.lp import (
     Certificate,
     ConeProblem,
-    InfeasibleCombination,
     NotProvable,
     ProvenSTI,
     is_disproof_ray,
-    nonneg_combination,
     solve,
     verify_certificate,
 )
@@ -111,31 +109,31 @@ class TestVerifyCertificate:
 class TestNonnegCombination:
     def test_entropy_over_unconstrained_cone(self, u2, g2):
         target = canonicalize(parse_expr("H(X1)", u2), 2)
-        result = nonneg_combination(target, g2)
-        assert isinstance(result, Certificate)
-        assert result.lam == (F(1), F(0), F(1))
+        result = solve(ConeProblem(target, g2))
+        assert isinstance(result, ProvenSTI)
+        assert result.certificate.lam == (F(1), F(0), F(1))
 
     def test_negative_entropy_is_infeasible_with_witness(self, u2, g2):
         target = canonicalize(parse_expr("-H(X1)", u2), 2)
-        result = nonneg_combination(target, g2)
-        assert isinstance(result, InfeasibleCombination)
-        w = result.witness
+        result = solve(ConeProblem(target, g2))
+        assert isinstance(result, NotProvable)
+        w = result.ray
         assert target.dot(w) < 0
         assert all(t.row.dot(w) >= 0 for t in g2.rows)
 
     def test_zero_target(self, u2, g2):
-        result = nonneg_combination(CanonicalVector.zero(2), g2)
-        assert isinstance(result, Certificate)
-        assert result.lam == (F(0), F(0), F(0))
-        assert result.nu == ()
+        result = solve(ConeProblem(CanonicalVector.zero(2), g2))
+        assert isinstance(result, ProvenSTI)
+        assert result.certificate.lam == (F(0), F(0), F(0))
+        assert result.certificate.nu == ()
 
     def test_constraint_multipliers_can_be_negative(self, u3, g3):
         q = build_constraint_matrix([parse_constraint("markov: X -> Y -> Z", u3)], u3)
         # I(X;Z|Y) <= 0: the difference is -I(X;Z|Y) = 0*G - 1*q
         target = canonicalize(parse_expr("-I(X;Z|Y)", u3), 3)
-        result = nonneg_combination(target, g3, q)
-        assert isinstance(result, Certificate)
-        assert result.nu == (F(1),)
+        result = solve(ConeProblem(target, g3, q))
+        assert isinstance(result, ProvenSTI)
+        assert result.certificate.nu == (F(1),)
 
 
 class TestDeterminism:

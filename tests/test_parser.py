@@ -258,7 +258,7 @@ class TestParseConstraint:
         assert decl == MutualIndep((0b0011, 0b0100, 0b1000))
 
     def test_indep_needs_two_groups(self, u4):
-        with pytest.raises(ParseError):
+        with pytest.raises(TooFewBlocksError):
             parse_constraint("indep: A", u4)
 
     def test_indep_overlap(self, u4):
@@ -281,9 +281,10 @@ class TestParseConstraint:
         with pytest.raises(InvalidFactorizationError):
             parse_constraint("factor: P(A) P(B|C) P(C,D|A)", u4)
 
-    def test_factorization_must_cover_universe(self, u4):
-        with pytest.raises(InvalidFactorizationError):
-            parse_constraint("factor: P(A) P(B|A)", u4)
+    def test_factorization_need_not_cover_universe(self, u4):
+        # A factorization describes the joint PMF of the variables it names.
+        decl = parse_constraint("factor: P(A) P(B|A)", u4)
+        assert decl == Factorization(((0b0001, 0), (0b0010, 0b0001)))
 
     def test_factorization_duplicate_head(self, u4):
         with pytest.raises(InvalidFactorizationError):
