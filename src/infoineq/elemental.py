@@ -7,6 +7,10 @@ variables.  Nonnegativity of exactly these measures defines the polymatroid
 outer bound of the entropic region, so their canonical rows are the
 inequality matrix every proof is built from.
 
+A row touches at most four joint entropies, so a term stores only its signed
+subset masks (`units`); the dense `CanonicalVector` over all 2**n - 1
+coordinates, `term.row`, is derived from them when a caller asks for it.
+
 Row order is fixed: the conditional entropies by ascending i, then the
 conditional mutual informations by ascending (i, j, mask(K)).  Proof output
 and golden tests rely on this order being stable.
@@ -21,39 +25,34 @@ from math import comb
 from typing import Sequence
 
 from .canonical import CanonicalVector
-from .parser import Entropy, Measure
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+from .parser import Entropy, Measure, MutualInfo, VarUniverse, render_measure
 
 
-def _default_names(n: int) -> tuple[str, ...]:
-    return tuple(f"X{i}" for i in range(1, n + 1))
-
-
-def _set_label(mask: int, names: Sequence[str]) -> str:
-    return ",".join(name for i, name in enumerate(names) if mask >> i & 1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementalTerm:
     """One elemental measure: H(X_i | rest) when j is None, else I(X_i;X_j|X_K)."""
 
+    n: int
     i: int
     j: int | None
     cond: int  # conditioning mask: the complement of {i} for entropy terms
-    row: CanonicalVector
+    units: tuple[tuple[int, int], ...]  # (subset mask, +-1), masks distinct and nonzero
+
+    @property
+    def row(self) -> CanonicalVector:
+        """The canonical row, built from `units` on each access."""
+        return CanonicalVector.from_units(self.n, self.units)
+
+    @property
+    def measure(self) -> Measure:
+        if self.j is None:
+            return Entropy(1 << (self.i - 1), self.cond)
+        return MutualInfo(1 << (self.i - 1), 1 << (self.j - 1), self.cond)
 
     def label(self, names: Sequence[str] | None = None) -> str:
-        names = names or _default_names(self.row.n)
-        first = names[self.i - 1]
-        if self.j is None:
-            return f"H({first}|{_set_label(self.cond, names)})" if self.cond else f"H({first})"
-        second = names[self.j - 1]
-        if self.cond:
-            return f"I({first};{second}|{_set_label(self.cond, names)})"
-        return f"I({first};{second})"
+        """The measure in parser syntax; names default to X1..Xn."""
+        names = names or [f"X{k}" for k in range(1, self.n + 1)]
+        return render_measure(self.measure, VarUniverse(tuple(names)))
 
 
 @dataclass(frozen=True)
@@ -92,34 +91,26 @@ def _ascending_submasks(mask: int):
 def enumerate_eims(n: int) -> ElementalMatrix:
     """Build the elemental matrix for n variables, rows in the documented order.
 
-    The four masks of a mutual information row are distinct, so every row is
-    written by direct assignment of +-1 into a zero vector; mask 0 (the empty
-    set) has no coordinate and is skipped.
+    Each term holds its signed subset masks; mask 0 (the empty set) has no
+    coordinate and is left out.
     """
     if n < 1:
         raise ValueError("universe size must be at least 1")
     full = (1 << n) - 1
-    zero = [_ZERO] * full
     rows: list[ElementalTerm] = []
     for i in range(1, n + 1):
         rest = full & ~(1 << (i - 1))
-        coeffs = zero.copy()
-        coeffs[full - 1] = _ONE
-        if rest:
-            coeffs[rest - 1] = _MINUS_ONE
-        rows.append(ElementalTerm(i, None, rest, CanonicalVector(n, tuple(coeffs))))
+        units = ((full, 1), (rest, -1)) if rest else ((full, 1),)
+        rows.append(ElementalTerm(n, i, None, rest, units))
     for i in range(1, n + 1):
         bit_i = 1 << (i - 1)
         for j in range(i + 1, n + 1):
             bit_j = 1 << (j - 1)
             for k_mask in _ascending_submasks(full & ~bit_i & ~bit_j):
-                coeffs = zero.copy()
-                coeffs[(bit_i | k_mask) - 1] = _ONE
-                coeffs[(bit_j | k_mask) - 1] = _ONE
-                coeffs[(bit_i | bit_j | k_mask) - 1] = _MINUS_ONE
+                units = ((bit_i | k_mask, 1), (bit_j | k_mask, 1), (bit_i | bit_j | k_mask, -1))
                 if k_mask:
-                    coeffs[k_mask - 1] = _MINUS_ONE
-                rows.append(ElementalTerm(i, j, k_mask, CanonicalVector(n, tuple(coeffs))))
+                    units += ((k_mask, -1),)
+                rows.append(ElementalTerm(n, i, j, k_mask, units))
     return ElementalMatrix(n, tuple(rows))
 
 

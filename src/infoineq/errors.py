@@ -38,7 +38,8 @@ class ConstraintError(InfoIneqError):
 
     Raised by one validator, `parser.validate_constraint`, which both
     `parse_constraint` and `build_constraint_matrix` call.  An empty set in a
-    declaration raises `EmptySetError` from the same validator.
+    declaration raises `EmptyDeclarationSetError`, which is also an
+    `EmptySetError`.
     """
 
 
@@ -58,8 +59,16 @@ class InvalidFactorizationError(ConstraintError):
     pass
 
 
+class OutOfUniverseError(ConstraintError):
+    """A declaration built in code names a variable position outside the universe."""
+
+
 class EmptySetError(InfoIneqError):
     """A variable set that must be nonempty was empty."""
+
+
+class EmptyDeclarationSetError(EmptySetError, ConstraintError):
+    """A set in a constraint declaration was empty."""
 
 
 class DimensionMismatchError(InfoIneqError):

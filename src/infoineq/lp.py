@@ -33,6 +33,8 @@ are all multiplied by the same L / s_e; and d > 0 divides everything alike.
 Signs, ratio order and the basis-index tie-break are therefore those of a
 Fraction tableau of the unscaled system, and the result maps back exactly:
 x_j = b_i * s_j / (d * L), and the dual multipliers need no unscaling.
+The elemental columns are built as ints, +-1 at each term's two to four
+subset masks and 0 elsewhere, so their scale is 1.
 
 Support reduction.  Let S be the union of the subset masks with a nonzero
 coefficient in the objective or in any constraint row: the variables the
@@ -276,10 +278,15 @@ def _constraint_rows(constraints: ConstraintMatrix | None):
 
 def _lp_columns(
     elemental: ElementalMatrix, constraints: ConstraintMatrix | None,
-) -> list[tuple[Fraction, ...]]:
+) -> list[Sequence[int | Fraction]]:
     """Columns of the phase-1 system: E^T, then -C^T and C^T for nu's two parts."""
     qrows = _constraint_rows(constraints)
-    columns: list[tuple[Fraction, ...]] = [term.row.coeffs for term in elemental.rows]
+    columns: list[Sequence[int | Fraction]] = []
+    for term in elemental.rows:
+        col = [0] * ((1 << elemental.n) - 1)
+        for mask, v in term.units:
+            col[mask - 1] = v
+        columns.append(col)
     columns += [tuple(-c for c in row.row.coeffs) for row in qrows]  # nu positive part
     columns += [row.row.coeffs for row in qrows]  # nu negative part
     return columns
@@ -396,14 +403,12 @@ def _combination_matches(
     total = [_ZERO] * len(target.coeffs)
     for coeff, term in zip(cert.lam, elemental.rows):
         if coeff:
-            for k, v in enumerate(term.row.coeffs):
-                if v:
-                    total[k] += coeff * v
+            for mask, v in term.units:
+                total[mask - 1] += coeff * v
     for coeff, row in zip(cert.nu, _constraint_rows(constraints)):
         if coeff:
-            for k, v in enumerate(row.row.coeffs):
-                if v:
-                    total[k] -= coeff * v
+            for mask, v in row.row.nonzero():
+                total[mask - 1] -= coeff * v
     return total == list(target.coeffs)
 
 
@@ -415,7 +420,7 @@ def _witness_is_valid(
 ) -> bool:
     if target.dot(witness) >= 0:
         return False
-    if any(term.row.dot(witness) < 0 for term in elemental.rows):
+    if any(sum(v * witness.coeffs[m - 1] for m, v in t.units) < 0 for t in elemental.rows):
         return False
     return all(row.row.dot(witness) == 0 for row in _constraint_rows(constraints))
 

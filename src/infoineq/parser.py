@@ -40,9 +40,10 @@ from typing import Iterable, Sequence
 from .errors import (
     DuplicateNameError,
     EmptyArgumentListError,
-    EmptySetError,
+    EmptyDeclarationSetError,
     InvalidFactorizationError,
     MissingRelationalOperatorError,
+    OutOfUniverseError,
     OverlappingBlocksError,
     OverlappingGroupsError,
     ParseError,
@@ -195,20 +196,32 @@ def validate_constraint(decl: ConstraintDecl, u: VarUniverse) -> None:
     `parse_constraint` and `build_constraint_matrix` both call it, so a
     declaration built in code meets the same rules, errors and messages as a
     parsed one.  A factorization describes the joint PMF of the variables it
-    names; declared variables it leaves out are unconstrained.
+    names; declared variables it leaves out are unconstrained.  Every set must
+    lie inside the universe, which only a declaration built in code can miss.
     """
+    outside = 0
+    for mask in _declared_sets(decl):
+        outside |= mask
+    outside &= ~u.full_mask
+    if outside < 0:
+        raise OutOfUniverseError("declaration holds a negative set mask")
+    if outside:
+        positions = ", ".join(str(k + 1) for k in range(outside.bit_length()) if outside >> k & 1)
+        raise OutOfUniverseError(
+            f"declaration names variable position(s) {positions} outside the "
+            f"{u.n} declared variables")
     if isinstance(decl, MarkovChain):
         _check_sets(decl.blocks, 3, "Markov blocks", OverlappingBlocksError, u)
     elif isinstance(decl, MutualIndep):
         _check_sets(decl.groups, 2, "independence groups", OverlappingGroupsError, u)
     elif isinstance(decl, FuncDep):
         if not decl.target or not decl.source:
-            raise EmptySetError("functional dependency needs nonempty sets")
+            raise EmptyDeclarationSetError("functional dependency needs nonempty sets")
     elif isinstance(decl, Factorization):
         introduced = 0
         for head, given in decl.factors:
             if not head:
-                raise EmptySetError("factor heads must be nonempty")
+                raise EmptyDeclarationSetError("factor heads must be nonempty")
             if head & introduced:
                 dup = u.set_label(head & introduced)
                 raise InvalidFactorizationError(
@@ -220,6 +233,22 @@ def validate_constraint(decl: ConstraintDecl, u: VarUniverse) -> None:
             introduced |= head
 
 
+def _declared_sets(decl: ConstraintDecl) -> list[int]:
+    """Every variable set a declaration names."""
+    if isinstance(decl, MarkovChain):
+        return list(decl.blocks)
+    if isinstance(decl, MutualIndep):
+        return list(decl.groups)
+    if isinstance(decl, FuncDep):
+        return [decl.target, decl.source]
+    if isinstance(decl, Factorization):
+        return [mask for factor in decl.factors for mask in factor]
+    masks = []
+    for _, m in decl.expr.terms:
+        masks += [m.alpha, m.gamma] if isinstance(m, Entropy) else [m.alpha, m.beta, m.gamma]
+    return masks
+
+
 def _check_sets(masks: Sequence[int], least: int, what: str, overlap_error: type,
                 u: VarUniverse) -> None:
     """At least `least` nonempty, pairwise disjoint sets."""
@@ -228,7 +257,7 @@ def _check_sets(masks: Sequence[int], least: int, what: str, overlap_error: type
     seen = 0
     for mask in masks:
         if not mask:
-            raise EmptySetError(f"{what} must be nonempty")
+            raise EmptyDeclarationSetError(f"{what} must be nonempty")
         if mask & seen:
             raise overlap_error(f"{what} must be pairwise disjoint; {u.set_label(mask & seen)} repeats")
         seen |= mask

@@ -5,19 +5,24 @@ import pytest
 from infoineq.canonical import canonicalize, cond_entropy, mutual_info
 from infoineq.constraints import build_constraint_matrix, dedup_rows
 from infoineq.errors import (
+    ConstraintError,
     EmptySetError,
     InvalidFactorizationError,
+    OutOfUniverseError,
     OverlappingBlocksError,
     OverlappingGroupsError,
     TooFewBlocksError,
 )
 from infoineq.lp import ConeProblem, ProvenSTI, solve
 from infoineq.parser import (
+    Entropy,
     Explicit,
     Factorization,
     FuncDep,
+    InfoExpr,
     MarkovChain,
     MutualIndep,
+    MutualInfo,
     parse_constraint,
     parse_expr,
 )
@@ -197,6 +202,38 @@ class TestBuildMatrix:
         q = build_constraint_matrix(decls, u4)
         for row in q.rows:
             assert canonicalize(parse_expr(row.label, u4), 4) == row.row
+
+
+class TestCodeBuiltSets:
+    @pytest.mark.parametrize("decl, positions", [
+        (MarkovChain((0b1, 0b10, 0b1000000)), "7"),
+        (FuncDep(0b1000, 0b1), "4"),
+        (Explicit(InfoExpr(((F(1), Entropy(0b10000)),))), "5"),
+        (FuncDep(0b1, 0b11000), "4, 5"),
+        (MutualIndep((0b1, 0b1010)), "4"),
+        (Factorization(((0b1, 0), (0b10, 0b100001))), "6"),
+        (Explicit(InfoExpr(((F(1), MutualInfo(0b1, 0b10, 0b1000)),))), "4"),
+    ])
+    def test_sets_outside_the_universe(self, u3, decl, positions):
+        with pytest.raises(OutOfUniverseError, match=f"position\\(s\\) {positions} outside"):
+            build_constraint_matrix([decl], u3)
+
+    def test_negative_mask(self, u3):
+        with pytest.raises(OutOfUniverseError, match="negative set mask"):
+            build_constraint_matrix([FuncDep(0b1, -2)], u3)
+
+    @pytest.mark.parametrize("decl", [
+        MarkovChain((0b001, 0, 0b010)),
+        FuncDep(0, 0b001),
+        Factorization(((0b001, 0), (0, 0b001))),
+    ])
+    def test_empty_sets_are_constraint_errors(self, u3, decl):
+        try:
+            build_constraint_matrix([decl], u3)
+        except ConstraintError as exc:
+            assert isinstance(exc, EmptySetError)
+        else:
+            pytest.fail(f"{decl} was accepted")
 
 
 class TestMarkovFactorizationEquivalence:

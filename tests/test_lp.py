@@ -13,6 +13,7 @@ from infoineq.lp import (
     ConeProblem,
     NotProvable,
     ProvenSTI,
+    _lp_columns,
     is_disproof_ray,
     solve,
     verify_certificate,
@@ -134,6 +135,60 @@ class TestNonnegCombination:
         result = solve(ConeProblem(target, g3, q))
         assert isinstance(result, ProvenSTI)
         assert result.certificate.nu == (F(1),)
+
+
+class TestColumns:
+    def test_elemental_columns_equal_the_dense_rows(self):
+        for n in range(1, 6):
+            u = parse_universe(",".join(f"X{k}" for k in range(1, n + 1)))
+            g = enumerate_eims(n)
+            explicit = parse_constraint(f"H({','.join(u.names)}) - 1/2 H(X1) = 0", u)
+            for q in (None, build_constraint_matrix([explicit], u)):
+                columns = _lp_columns(g, q)
+                ne = len(g.rows)
+                assert [tuple(col) for col in columns[:ne]] == [t.row.coeffs for t in g.rows]
+                qrows = q.rows if q is not None else ()
+                assert columns[ne:] == ([tuple(-c for c in r.row.coeffs) for r in qrows]
+                                        + [r.row.coeffs for r in qrows])
+
+
+class TestChecksReadTheMasks:
+    """The in-solve checks agree with the same checks over the dense rows."""
+
+    def test_ray_check(self):
+        rng = random.Random(7)
+        for n in (2, 3, 4):
+            g = enumerate_eims(n)
+            target = -CanonicalVector(n, (F(1),) * ((1 << n) - 1))
+            outcomes = set()
+            for _ in range(200):
+                # A sum of "one shared bit" entropy vectors is a polymatroid;
+                # nudging one coordinate may break any of its elemental rows.
+                h = [0] * ((1 << n) - 1)
+                for _ in range(3):
+                    shared = rng.randrange(1, 1 << n)
+                    for mask in range(1, 1 << n):
+                        h[mask - 1] += bool(mask & shared)
+                h[rng.randrange(len(h))] += rng.randint(-1, 1)
+                ray = CanonicalVector(n, tuple(map(F, h)))
+                dense = target.dot(ray) < 0 and all(t.row.dot(ray) >= 0 for t in g.rows)
+                assert is_disproof_ray(ConeProblem(target, g), ray) == dense
+                outcomes.add(dense)
+            assert outcomes == {True, False}
+
+    def test_certificate_check(self):
+        rng = random.Random(7)
+        for n in (2, 3, 4):
+            g = enumerate_eims(n)
+            for _ in range(50):
+                lam = tuple(F(rng.choice((0, 0, 1, 2))) for _ in g.rows)
+                total = CanonicalVector.zero(n)
+                for coeff, t in zip(lam, g.rows):
+                    total = total + t.row.scale(coeff)
+                assert verify_certificate(ConeProblem(total, g), Certificate(lam, ()))
+                k = rng.randrange(len(g.rows))
+                bumped = lam[:k] + (lam[k] + 1,) + lam[k + 1:]
+                assert not verify_certificate(ConeProblem(total, g), Certificate(bumped, ()))
 
 
 class TestDeterminism:
