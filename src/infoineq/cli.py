@@ -90,6 +90,8 @@ def parse_problem_file(path: str) -> Problem:
             text = fh.read()
     except OSError as exc:
         raise ProblemFileError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ProblemFileError(f"{path}: not UTF-8 text") from None
     vars_line: tuple[int, str] | None = None
     prove_line: tuple[int, str] | None = None
     assume_lines: list[tuple[int, str]] = []
@@ -114,27 +116,28 @@ def parse_problem_file(path: str) -> Problem:
         raise ProblemFileError(f"{path}: missing vars: line")
     if prove_line is None:
         raise ProblemFileError(f"{path}: missing prove: line")
+    return _build_problem(vars_line, assume_lines, prove_line, path)
 
-    def _ctx(lineno: int, exc: InfoIneqError) -> ProblemFileError:
-        return ProblemFileError(f"{path}:{lineno}: {exc}")
 
-    lineno, body = vars_line
-    try:
-        universe = parse_universe(body)
-    except InfoIneqError as exc:
-        raise _ctx(lineno, exc) from None
-    decls = []
-    for lineno, body in assume_lines:
+_Line = tuple[int | None, str]  # (line number in the problem file, text)
+
+
+def _build_problem(vars_line: _Line, assume_lines: list[_Line], prove_line: _Line,
+                   path: str | None = None) -> Problem:
+    """Parse the three parts of a problem; a `path` puts `path:line:` on every error."""
+
+    def parsed(parse, line, *context):
+        lineno, text = line
         try:
-            decls.append(parse_constraint(body, universe))
+            return parse(text, *context)
         except InfoIneqError as exc:
-            raise _ctx(lineno, exc) from None
-    lineno, body = prove_line
-    try:
-        relation = parse_relation(body, universe)
-    except InfoIneqError as exc:
-        raise _ctx(lineno, exc) from None
-    return Problem(universe, tuple(decls), relation)
+            if path is None:
+                raise
+            raise ProblemFileError(f"{path}:{lineno}: {exc}") from None
+
+    universe = parsed(parse_universe, vars_line)
+    decls = tuple(parsed(parse_constraint, line, universe) for line in assume_lines)
+    return Problem(universe, decls, parsed(parse_relation, prove_line, universe))
 
 
 def _directed_relations(relation: Relation) -> tuple[Relation, ...]:
@@ -167,8 +170,6 @@ def _ray_summary(ray: CanonicalVector, objective: CanonicalVector, u: VarUnivers
     lines = ["ray witness (objective decreases along this direction of the cone):"]
     for mask, coeff in ray.nonzero():
         lines.append(f"  H({u.set_label(mask)}) = {coeff}")
-    if ray.is_zero():  # cannot happen for a valid witness; kept for robustness
-        lines.append("  (zero)")
     lines.append(f"objective on ray: {objective.dot(ray)}")
     return "\n".join(lines) + "\n"
 
@@ -225,10 +226,8 @@ def _problem_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace) ->
         return parse_problem_file(args.command[1])
     if not args.expr or not args.vars:
         ap.error("--expr and --vars are required unless a problem file is given")
-    universe = parse_universe(args.vars)
-    decls = tuple(parse_constraint(text, universe) for text in args.assume)
-    relation = parse_relation(args.expr, universe)
-    return Problem(universe, decls, relation)
+    return _build_problem((None, args.vars), [(None, text) for text in args.assume],
+                          (None, args.expr))
 
 
 def _emit(result: ProveResult, fmt: str, quiet: bool) -> int:

@@ -12,11 +12,12 @@ vanish on every admissible entropy vector:
     given set already covers everything introduced.
   * explicit: the canonical vector of the given expression.
 
-Every row keeps a label that reparses to exactly the stored vector, plus the
-declaration that produced it; proofs quote both.  `build_constraint_matrix`
-is the entry point: it checks each declaration with
-`parser.validate_constraint` before compiling it, so the compilers here
-assume valid input and check nothing.
+Each compiler returns its rows as expressions.  `build_constraint_matrix`
+is the entry point and the one place rows are built: it checks each
+declaration with `parser.validate_constraint`, so the compilers assume valid
+input and check nothing, then canonicalizes every expression and labels it
+with its rendering, which reparses to exactly the stored vector, plus the
+rendered declaration that produced it; proofs quote both.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .parser import (
     FuncDep,
     InfoExpr,
     MarkovChain,
+    Measure,
     MutualIndep,
     MutualInfo,
     VarUniverse,
     render_constraint,
     render_expr,
-    render_measure,
     validate_constraint,
 )
 
@@ -65,67 +66,50 @@ class ConstraintMatrix:
         return len(self.rows)
 
 
-def _mi_row(alpha: int, beta: int, gamma: int, u: VarUniverse,
-            origin: ConstraintDecl, origin_text: str) -> ConstraintRow:
-    measure = MutualInfo(alpha, beta, gamma)
-    expr = InfoExpr(((Fraction(1), measure),))
-    return ConstraintRow(canonicalize(expr, u.n), render_measure(measure, u), origin, origin_text)
+def _one(measure: Measure) -> InfoExpr:
+    return InfoExpr(((Fraction(1), measure),))
 
 
-def _markov_rows(decl: MarkovChain, u: VarUniverse) -> list[ConstraintRow]:
+def _union(masks: Iterable[int]) -> int:
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
+def _markov_rows(decl: MarkovChain) -> list[InfoExpr]:
     """Cut conditions of a Markov chain: one row per interior block."""
-    blocks = decl.blocks
-    text = render_constraint(decl, u)
-    rows = []
-    for k in range(1, len(blocks) - 1):
-        past = 0
-        for b in blocks[:k]:
-            past |= b
-        future = 0
-        for b in blocks[k + 1:]:
-            future |= b
-        rows.append(_mi_row(past, future, blocks[k], u, decl, text))
-    return rows
+    b = decl.blocks
+    return [_one(MutualInfo(_union(b[:k]), _union(b[k + 1:]), b[k])) for k in range(1, len(b) - 1)]
 
 
-def _indep_rows(decl: MutualIndep, u: VarUniverse) -> list[ConstraintRow]:
+def _indep_rows(decl: MutualIndep) -> list[InfoExpr]:
     """Mutual independence of groups: H(union) = sum of group entropies."""
-    union = 0
-    for g in decl.groups:
-        union |= g
-    terms = [(Fraction(1), Entropy(union))]
+    terms = [(Fraction(1), Entropy(_union(decl.groups)))]
     terms += [(Fraction(-1), Entropy(g)) for g in decl.groups]
-    expr = InfoExpr(tuple(terms))
-    return [ConstraintRow(canonicalize(expr, u.n), render_expr(expr, u), decl,
-                          render_constraint(decl, u))]
+    return [InfoExpr(tuple(terms))]
 
 
-def _funcdep_rows(decl: FuncDep, u: VarUniverse) -> list[ConstraintRow]:
+def _funcdep_rows(decl: FuncDep) -> list[InfoExpr]:
     """Functional dependency: H(target | source) = 0."""
-    measure = Entropy(decl.target, decl.source)
-    expr = InfoExpr(((Fraction(1), measure),))
-    return [ConstraintRow(canonicalize(expr, u.n), render_measure(measure, u),
-                          decl, render_constraint(decl, u))]
+    return [_one(Entropy(decl.target, decl.source))]
 
 
-def _factorization_rows(decl: Factorization, u: VarUniverse) -> list[ConstraintRow]:
+def _factorization_rows(decl: Factorization) -> list[InfoExpr]:
     """Conditional independencies read off an ordered PMF factorization."""
-    text = render_constraint(decl, u)
     introduced = 0
     rows = []
-    for k, (head, given) in enumerate(decl.factors):
-        if k >= 1:
-            rest = introduced & ~given
-            if rest:
-                rows.append(_mi_row(head, rest, given, u, decl, text))
+    for head, given in decl.factors:
+        rest = introduced & ~given
+        if rest:
+            rows.append(_one(MutualInfo(head, rest, given)))
         introduced |= head
     return rows
 
 
-def _explicit_rows(decl: Explicit, u: VarUniverse) -> list[ConstraintRow]:
+def _explicit_rows(decl: Explicit) -> list[InfoExpr]:
     """A user-supplied expression asserted to equal zero."""
-    return [ConstraintRow(canonicalize(decl.expr, u.n), render_expr(decl.expr, u), decl,
-                          render_constraint(decl, u))]
+    return [decl.expr]
 
 
 _ROWS = {
@@ -160,5 +144,7 @@ def build_constraint_matrix(decls: Iterable[ConstraintDecl], u: VarUniverse) -> 
         if compile_rows is None:
             raise TypeError(f"unknown constraint declaration {decl!r}")
         validate_constraint(decl, u)
-        rows.extend(compile_rows(decl, u))
+        text = render_constraint(decl, u)
+        rows += [ConstraintRow(canonicalize(e, u.n), render_expr(e, u), decl, text)
+                 for e in compile_rows(decl)]
     return ConstraintMatrix(u.n, dedup_rows(rows))

@@ -601,23 +601,20 @@ def render_measure(m: Measure, u: VarUniverse) -> str:
     return f"I({u.set_label(m.alpha)};{u.set_label(m.beta)})"
 
 
-def _coeff_prefix(c: Fraction) -> str:
-    """Multiplier part of a rendered term; empty for coefficient 1."""
-    mag = abs(c)
-    return "" if mag == 1 else f"{mag} "
+def render_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Join signed labels as `A - 2 B + 1/2 C`; the empty sum is `0`."""
+    parts: list[str] = []
+    for coeff, label in terms:
+        body = label if abs(coeff) == 1 else f"{abs(coeff)} {label}"
+        if parts:
+            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if coeff < 0 else body)
+    return " ".join(parts) if parts else "0"
 
 
 def render_expr(e: InfoExpr, u: VarUniverse) -> str:
-    if not e.terms:
-        return "0"
-    parts: list[str] = []
-    for k, (coeff, measure) in enumerate(e.terms):
-        body = f"{_coeff_prefix(coeff)}{render_measure(measure, u)}"
-        if k == 0:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
-    return " ".join(parts)
+    return render_terms((coeff, render_measure(m, u)) for coeff, m in e.terms)
 
 
 def render_relation(r: Relation, u: VarUniverse) -> str:

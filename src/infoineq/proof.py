@@ -7,9 +7,10 @@ nonnegative by definition and each constraint term vanishes by assumption,
 so the identity is the whole proof; verifying it is an exact coordinate
 comparison of canonical vectors.
 
-Renderers are deterministic: text, LaTeX (an align* environment plus an
-itemized justification list; compile with article + amsmath, T1 fontenc),
-and a versioned JSON document whose numbers allow independent re-checking.
+The renderers format an `ElementalForm` directly and are deterministic:
+text, LaTeX (an align* environment plus an itemized justification list;
+compile with article + amsmath, T1 fontenc), and a versioned JSON document
+whose numbers allow independent re-checking.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .parser import (
     parse_expr,
     render_expr,
     render_relation,
+    render_terms,
 )
 
 
@@ -110,41 +112,6 @@ def _check_identity(form: ElementalForm) -> None:
         raise UnverifiedCertificateError("elemental form identity failed to re-verify")
 
 
-@dataclass(frozen=True)
-class Justification:
-    label: str
-    origin: str | None  # None: nonnegative because elemental
-
-
-@dataclass(frozen=True)
-class ProofDocument:
-    """Layout-neutral proof: every renderer formats exactly this data."""
-
-    statement: str
-    assumptions: tuple[str, ...]
-    identity_lhs: str
-    identity_terms: tuple[tuple[Fraction, str], ...]  # signed coefficient, label
-    justifications: tuple[Justification, ...]
-    conclusion_op: str  # "<=" or ">="
-
-
-def compose_document(form: ElementalForm) -> ProofDocument:
-    u = form.universe
-    diff = difference_expr(form.relation)
-    terms: list[tuple[Fraction, str]] = list(form.eim_terms)
-    terms += [(-coeff, label) for coeff, label, _ in form.constraint_terms]
-    justifications = [Justification(label, None) for _, label in form.eim_terms]
-    justifications += [Justification(label, origin) for _, label, origin in form.constraint_terms]
-    return ProofDocument(
-        statement=render_relation(form.relation, u),
-        assumptions=tuple(decl for decl, _ in form.constraint_groups),
-        identity_lhs=render_expr(diff, u),
-        identity_terms=tuple(terms),
-        justifications=tuple(justifications),
-        conclusion_op=form.relation.op.value,
-    )
-
-
 _MEASURE_RE = re.compile(r"[HI]\([^()]*\)")
 
 
@@ -165,37 +132,28 @@ def _needs_parens(coeff: Fraction, label: str, first: bool) -> bool:
     return negated and not first
 
 
-def _join_terms(terms: tuple[tuple[Fraction, str], ...]) -> str:
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for k, (coeff, label) in enumerate(terms):
-        mag = abs(coeff)
-        if _needs_parens(coeff, label, k == 0):
-            label = f"({label})"
-        body = label if mag == 1 else f"{mag} {label}"
-        if k == 0:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
-    return " ".join(parts)
+def _identity(form: ElementalForm) -> tuple[str, str]:
+    """Both sides of `difference = elemental terms - constraint terms`."""
+    terms = list(form.eim_terms) + [(-coeff, label) for coeff, label, _ in form.constraint_terms]
+    rhs = render_terms(
+        (coeff, f"({label})" if _needs_parens(coeff, label, k == 0) else label)
+        for k, (coeff, label) in enumerate(terms)
+    )
+    return render_expr(difference_expr(form.relation), form.universe), rhs
 
 
 def render_text(f: ElementalForm) -> str:
     """Plain-text proof; five lines when there are no constraints."""
-    doc = compose_document(f)
-    lines = [f"Prove: {doc.statement}"]
-    if doc.assumptions:
+    lhs, rhs = _identity(f)
+    lines = [f"Prove: {render_relation(f.relation, f.universe)}"]
+    if f.constraint_groups:
         lines.append("Assume:")
-        lines.extend(f"  {a}" for a in doc.assumptions)
+        lines.extend(f"  {decl}" for decl, _ in f.constraint_groups)
     lines.append("Difference in elemental form:")
-    lines.append(f"  {doc.identity_lhs} = {_join_terms(doc.identity_terms)}")
-    for j in doc.justifications:
-        if j.origin is None:
-            lines.append(f"  {j.label} ≥ 0, elemental")
-        else:
-            lines.append(f"  {j.label} = 0, from {j.origin}")
-    arrow = "≤" if doc.conclusion_op == "<=" else "≥"
+    lines.append(f"  {lhs} = {rhs}")
+    lines.extend(f"  {label} ≥ 0, elemental" for _, label in f.eim_terms)
+    lines.extend(f"  {label} = 0, from {origin}" for _, label, origin in f.constraint_terms)
+    arrow = "≤" if f.relation.op is RelOp.LEQ else "≥"
     lines.append(f"Canonical forms verified; hence LHS {arrow} RHS. ∎")
     return "\n".join(lines) + "\n"
 
@@ -211,23 +169,21 @@ def _latexify(s: str) -> str:
 
 
 def render_latex(f: ElementalForm) -> str:
-    doc = compose_document(f)
-    lines = [f"% Prove: {doc.statement}"]
-    for a in doc.assumptions:
-        lines.append(f"% Assume: {a}")
+    lhs, rhs = _identity(f)
+    lines = [f"% Prove: {render_relation(f.relation, f.universe)}"]
+    lines.extend(f"% Assume: {decl}" for decl, _ in f.constraint_groups)
     lines.append(r"\begin{align*}")
-    lines.append(f"{_latexify(doc.identity_lhs)}")
-    lines.append(f"  &= {_latexify(_join_terms(doc.identity_terms))} \\\\")
+    lines.append(_latexify(lhs))
+    lines.append(f"  &= {_latexify(rhs)} \\\\")
     lines.append(r"  &\geq 0.")
     lines.append(r"\end{align*}")
     lines.append(r"\begin{itemize}")
-    for j in doc.justifications:
-        if j.origin is None:
-            lines.append(rf"\item ${_latexify(j.label)} \geq 0$ (elemental)")
-        else:
-            lines.append(rf"\item ${_latexify(j.label)} = 0$ (\texttt{{{j.origin}}})")
+    lines.extend(rf"\item ${_latexify(label)} \geq 0$ (elemental)" for _, label in f.eim_terms)
+    for _, label, origin in f.constraint_terms:
+        origin = origin.replace("_", r"\_")  # outside math mode a bare _ does not compile
+        lines.append(rf"\item ${_latexify(label)} = 0$ (\texttt{{{origin}}})")
     lines.append(r"\end{itemize}")
-    op_word = "\\leq" if doc.conclusion_op == "<=" else "\\geq"
+    op_word = "\\leq" if f.relation.op is RelOp.LEQ else "\\geq"
     lines.append(rf"% hence LHS ${op_word}$ RHS")
     return "\n".join(lines) + "\n"
 

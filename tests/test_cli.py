@@ -96,6 +96,13 @@ class TestExitCodes:
         code = main(["prove", str(tmp_path / "nope.iiq")])
         assert code == 2
 
+    def test_input_error_not_utf8(self, capsys, tmp_path):
+        p = tmp_path / "bad.iiq"
+        p.write_bytes(b"vars: X\n# \xff\nprove: H(X) >= 0\n")
+        code = main(["prove", str(p)])
+        assert code == 2
+        assert capsys.readouterr().err == f"{p}: not UTF-8 text\n"
+
     def test_input_error_missing_flags(self, capsys):
         assert main([]) == 2
 
@@ -121,6 +128,21 @@ class TestFormats:
         out = capsys.readouterr().out
         assert code == 0
         assert "\\begin{align*}" in out
+
+    def test_latex_escapes_underscore_outside_math(self, capsys):
+        code = main([
+            "--expr", "I(X_1;Z) <= I(X_1;Y)",
+            "--vars", "X_1,Y,Z",
+            "--assume", "markov: X_1 -> Y -> Z",
+            "--format", "latex",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "(\\texttt{markov: X\\_1 -> Y -> Z})" in out
+        for line in out.splitlines():
+            if not line.startswith("%"):
+                text_mode = line.split("$")[::2]
+                assert all("_" not in part.replace("\\_", "") for part in text_mode), line
 
     def test_assume_flags(self, capsys):
         code = main([
