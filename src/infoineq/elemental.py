@@ -154,10 +154,8 @@ def _bits(mask: int) -> list[int]:
     return [k + 1 for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def bim_to_eim_decomposition(
-    b: Measure, n: int, matrix: ElementalMatrix | None = None,
-) -> list[tuple[ElementalTerm, Fraction]]:
-    """Write a basic measure as a nonnegative combination of elemental measures.
+def chain_rule_rows(b: Measure, n: int) -> list[int]:
+    """Rows of `enumerate_eims(n)` that sum to a basic measure; a row may repeat.
 
     Closed form by the chain rule.  With A' = A - G, B' = B - G and
     C = A' & B',
@@ -167,27 +165,37 @@ def bim_to_eim_decomposition(
 
     where a_i runs over A' - C (A' for the entropy) and b_j over B' - C in
     ascending index order, and each H(x|B) is expanded by `cond_entropy_eims`.
-    Repeated rows are merged; the terms come back in canonical row order,
-    taken from `matrix` (built when not given).
     """
-    if matrix is None:
-        matrix = enumerate_eims(n)
     if isinstance(b, Entropy):
         chain, left, right = b.alpha & ~b.gamma, 0, 0
     else:
         left, right = b.alpha & ~b.gamma, b.beta & ~b.gamma
         chain = left & right
         left, right = left & ~chain, right & ~chain
-    counts: Counter[int] = Counter()
+    rows: list[int] = []
     cond = b.gamma
     for x in _bits(chain):
-        counts.update(cond_entropy_eims(x, cond, n))
+        rows += cond_entropy_eims(x, cond, n)
         cond |= 1 << (x - 1)
     a_cond = cond
     for a in _bits(left):
         b_cond = a_cond
         for bj in _bits(right):
-            counts[eim_index(n, min(a, bj), max(a, bj), b_cond)] += 1
+            rows.append(eim_index(n, min(a, bj), max(a, bj), b_cond))
             b_cond |= 1 << (bj - 1)
         a_cond |= 1 << (a - 1)
+    return rows
+
+
+def bim_to_eim_decomposition(
+    b: Measure, n: int, matrix: ElementalMatrix | None = None,
+) -> list[tuple[ElementalTerm, Fraction]]:
+    """Write a basic measure as a nonnegative combination of elemental measures.
+
+    The rows of `chain_rule_rows`, merged and in row order, taken from
+    `matrix` (built when not given).
+    """
+    if matrix is None:
+        matrix = enumerate_eims(n)
+    counts = Counter(chain_rule_rows(b, n))
     return [(matrix.rows[row], Fraction(counts[row])) for row in sorted(counts)]

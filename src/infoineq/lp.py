@@ -49,9 +49,9 @@ every nonzero coordinate is a subset of S.  When S = N (or S is empty, as
 for a zero objective with no constraints) the restriction and the lift are
 the identity and the elemental matrix passed in is used as it is.
 
-  * Lifting a proof.  An S-row I(X_i;X_j|X_K), K a subset of S - {i,j}, is
-    already an elemental row over N, so its multiplier is copied.  An S-row
-    H(X_i | S - {i}) is a sum of N-rows by the chain rule,
+  * Lifting a proof.  Each S-row, its masks widened to N, is rewritten over
+    the N-rows by `elemental.chain_rule_rows`.  I(X_i;X_j|X_K), K a subset of
+    S - {i,j}, is already an N-row; H(X_i | S - {i}) is a sum of N-rows,
 
         H(X_i | S-{i}) = H(X_i | N-{i})
                          + sum_k I(X_i ; X_tk | (S-{i}) + {t1..t(k-1)}),
@@ -88,8 +88,9 @@ from typing import Sequence
 
 from .canonical import CanonicalVector
 from .constraints import ConstraintMatrix
-from .elemental import ElementalMatrix, cond_entropy_eims, eim_index, enumerate_eims
+from .elemental import ElementalMatrix, chain_rule_rows, enumerate_eims
 from .errors import DimensionMismatchError
+from .parser import Entropy, MutualInfo
 
 _ZERO = Fraction(0)
 _denominator = attrgetter("denominator")
@@ -138,12 +139,14 @@ class ConeProblem:
 
     objective: CanonicalVector
     elemental: ElementalMatrix
-    constraints: ConstraintMatrix | None = None
+    constraints: ConstraintMatrix | None = None  # None is stored as the empty matrix
 
     def __post_init__(self):
         if self.elemental.n != self.objective.n:
             raise DimensionMismatchError("elemental matrix built for a different universe")
-        if self.constraints is not None and self.constraints.n != self.objective.n:
+        if self.constraints is None:
+            object.__setattr__(self, "constraints", ConstraintMatrix(self.objective.n, ()))
+        if self.constraints.n != self.objective.n:
             raise DimensionMismatchError("constraint matrix built for a different universe")
 
 
@@ -272,15 +275,11 @@ def _eliminate(
             row[j] -= f * q // d
 
 
-def _constraint_rows(constraints: ConstraintMatrix | None):
-    return constraints.rows if constraints is not None else ()
-
-
 def _lp_columns(
     elemental: ElementalMatrix, constraints: ConstraintMatrix | None,
 ) -> list[Sequence[int | Fraction]]:
     """Columns of the phase-1 system: E^T, then -C^T and C^T for nu's two parts."""
-    qrows = _constraint_rows(constraints)
+    qrows = constraints.rows if constraints is not None else ()
     columns: list[Sequence[int | Fraction]] = []
     for term in elemental.rows:
         col = [0] * ((1 << elemental.n) - 1)
@@ -292,10 +291,10 @@ def _lp_columns(
     return columns
 
 
-def _support(target: CanonicalVector, constraints: ConstraintMatrix | None) -> int:
+def _support(target: CanonicalVector, constraints: ConstraintMatrix) -> int:
     """Union of the subset masks with a nonzero coefficient in the target or a constraint row."""
     support = 0
-    for vec in (target, *(row.row for row in _constraint_rows(constraints))):
+    for vec in (target, *(row.row for row in constraints.rows)):
         for mask, v in enumerate(vec.coeffs, 1):
             if v:
                 support |= mask
@@ -327,13 +326,10 @@ def _lift_multipliers(
     for coeff, term in zip(lam, sub.rows):
         if not coeff:
             continue
-        i = expand[1 << (term.i - 1)].bit_length()
-        cond = expand[term.cond]
-        if term.j is None:
-            rows = cond_entropy_eims(i, cond, n)
-        else:
-            rows = [eim_index(n, i, expand[1 << (term.j - 1)].bit_length(), cond)]
-        for row in rows:
+        m = term.measure
+        wide = (Entropy(expand[m.alpha], expand[m.gamma]) if isinstance(m, Entropy)
+                else MutualInfo(expand[m.alpha], expand[m.beta], expand[m.gamma]))
+        for row in chain_rule_rows(wide, n):
             lifted[row] += coeff
     return lifted
 
@@ -358,7 +354,7 @@ def solve(p: ConeProblem) -> SolveOutcome:
     """
     target, elemental, constraints = p.objective, p.elemental, p.constraints
     n = target.n
-    qrows = _constraint_rows(constraints)
+    qrows = constraints.rows
     support = _support(target, constraints)
     reduced = 0 < support.bit_count() < n
     if reduced:
@@ -381,62 +377,44 @@ def solve(p: ConeProblem) -> SolveOutcome:
         cert = Certificate(tuple(lam), nu)
         # Re-check the returned object against the original data; a failure
         # here is a solver bug, never a property of the input.
-        if not _combination_matches(target, elemental, constraints, cert):
+        if not verify_certificate(p, cert):
             raise AssertionError("internal error: simplex produced an invalid certificate")
         return ProvenSTI(cert)
     ray = CanonicalVector(sub_target.n, tuple(-v for v in farkas))
     if reduced:
         ray = _lift_ray(ray, expand, n)
-    if not _witness_is_valid(target, elemental, constraints, ray):
+    if not is_disproof_ray(p, ray):
         raise AssertionError("internal error: simplex produced an invalid witness")
     return NotProvable(ray)
 
 
-def _combination_matches(
-    target: CanonicalVector,
-    elemental: ElementalMatrix,
-    constraints: ConstraintMatrix | None,
-    cert: Certificate,
-) -> bool:
-    if any(v < 0 for v in cert.lam):
-        return False
-    total = [_ZERO] * len(target.coeffs)
-    for coeff, term in zip(cert.lam, elemental.rows):
-        if coeff:
-            for mask, v in term.units:
-                total[mask - 1] += coeff * v
-    for coeff, row in zip(cert.nu, _constraint_rows(constraints)):
-        if coeff:
-            for mask, v in row.row.nonzero():
-                total[mask - 1] -= coeff * v
-    return total == list(target.coeffs)
-
-
-def _witness_is_valid(
-    target: CanonicalVector,
-    elemental: ElementalMatrix,
-    constraints: ConstraintMatrix | None,
-    witness: CanonicalVector,
-) -> bool:
-    if target.dot(witness) >= 0:
-        return False
-    if any(sum(v * witness.coeffs[m - 1] for m, v in t.units) < 0 for t in elemental.rows):
-        return False
-    return all(row.row.dot(witness) == 0 for row in _constraint_rows(constraints))
-
-
 def verify_certificate(p: ConeProblem, c: Certificate) -> bool:
     """Exact check of E^T lam - C^T nu = objective and lam >= 0. No tolerance."""
-    qrows = _constraint_rows(p.constraints)
+    qrows = p.constraints.rows
     if len(c.lam) != len(p.elemental.rows) or len(c.nu) != len(qrows):
         raise DimensionMismatchError(
             f"certificate sized {len(c.lam)}/{len(c.nu)} for a problem with "
             f"{len(p.elemental.rows)} elemental and {len(qrows)} constraint rows")
-    return _combination_matches(p.objective, p.elemental, p.constraints, c)
+    if any(v < 0 for v in c.lam):
+        return False
+    total = [_ZERO] * len(p.objective.coeffs)
+    for coeff, term in zip(c.lam, p.elemental.rows):
+        if coeff:
+            for mask, v in term.units:
+                total[mask - 1] += coeff * v
+    for coeff, row in zip(c.nu, qrows):
+        if coeff:
+            for mask, v in row.row.nonzero():
+                total[mask - 1] -= coeff * v
+    return total == list(p.objective.coeffs)
 
 
 def is_disproof_ray(p: ConeProblem, ray: CanonicalVector) -> bool:
     """Exact check that `ray` witnesses NotProvable for this problem."""
     if ray.n != p.objective.n:
         raise DimensionMismatchError("ray built for a different universe")
-    return _witness_is_valid(p.objective, p.elemental, p.constraints, ray)
+    if p.objective.dot(ray) >= 0:
+        return False
+    if any(sum(v * ray.coeffs[m - 1] for m, v in t.units) < 0 for t in p.elemental.rows):
+        return False
+    return all(row.row.dot(ray) == 0 for row in p.constraints.rows)

@@ -20,7 +20,8 @@ Grammar (whitespace between tokens is insignificant):
 
 Coefficients are exact rationals written `3`, `-2` or `1/2`; decimal floats
 are rejected so the whole pipeline stays exact.  A bare `0` denotes the zero
-expression, which is how `... = 0` constraints are written.  Strict
+expression, which is how `... = 0` constraints are written.  Groups
+`( expr )` nest at most 100 deep; deeper input is a ParseError.  Strict
 inequalities (`<`, `>`) are rejected: the decision procedure handles
 non-strict inequalities only.
 
@@ -299,11 +300,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deepest accepted nesting of parenthesized groups.  Each level costs two
+# interpreter frames, so this keeps well inside the default recursion limit.
+_MAX_NESTING = 100
+
+
 class _TokenStream:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open parenthesized groups
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -320,12 +327,16 @@ class _TokenStream:
             return True
         return False
 
-    def expect(self, text: str, what: str | None = None) -> _Token:
+    def expect(self, text: str) -> _Token:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == text:
             return self.next()
-        expected = what or f"'{text}'"
-        raise ParseError(f"expected {expected}, found {self._describe(tok)}", offset=tok.pos)
+        raise ParseError(f"expected '{text}', found {self._describe(tok)}", offset=tok.pos)
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", offset=tok.pos)
 
     @staticmethod
     def _describe(tok: _Token) -> str:
@@ -366,11 +377,7 @@ def parse_universe(text: str) -> VarUniverse:
     return VarUniverse(tuple(names))
 
 
-def _parse_vlist(stream: _TokenStream, u: VarUniverse, *, empty_error: type[ParseError] = ParseError,
-                 empty_message: str = "expected variable name") -> int:
-    tok = stream.peek()
-    if tok.kind != "ident":
-        raise empty_error(empty_message, offset=tok.pos)
+def _parse_vlist(stream: _TokenStream, u: VarUniverse) -> int:
     mask = 0
     while True:
         tok = stream.peek()
@@ -444,9 +451,14 @@ def _parse_term(stream: _TokenStream, u: VarUniverse, sign: int) -> list[tuple[F
             return []
         coeff = _parse_rational(stream)
         stream.accept("*")
+    tok = stream.peek()
     if stream.accept("("):
+        if stream.depth == _MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {_MAX_NESTING} levels", offset=tok.pos)
+        stream.depth += 1
         group = _parse_expr(stream, u)
         stream.expect(")")
+        stream.depth -= 1
         return list(group.scaled(sign * coeff).terms)
     return [(sign * coeff, _parse_measure(stream, u))]
 
@@ -455,9 +467,7 @@ def parse_expr(text: str, u: VarUniverse) -> InfoExpr:
     """Parse a linear combination of entropy / mutual information terms."""
     stream = _TokenStream(text)
     expr = _parse_expr(stream, u)
-    tok = stream.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", offset=tok.pos)
+    stream.expect_end()
     return expr
 
 
@@ -492,9 +502,7 @@ def parse_relation(text: str, u: VarUniverse) -> Relation:
     stream.next()
     op = RelOp(tok.text)
     rhs = _parse_expr(stream, u)
-    end = stream.peek()
-    if end.kind != "eof":
-        raise ParseError(f"unexpected trailing input {end.text!r}", offset=end.pos)
+    stream.expect_end()
     return Relation(lhs, rhs, op)
 
 
@@ -535,9 +543,7 @@ def parse_constraint(text: str, u: VarUniverse) -> ConstraintDecl:
     else:
         return _parse_explicit(text, u)
     validate_constraint(decl, u)
-    end = stream.peek()
-    if end.kind != "eof":
-        raise ParseError(f"unexpected trailing input {end.text!r}", offset=end.pos)
+    stream.expect_end()
     return decl
 
 

@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .canonical import CanonicalVector, canonicalize
 from .errors import UnverifiedCertificateError
@@ -30,6 +31,7 @@ from .parser import (
     VarUniverse,
     parse_expr,
     render_expr,
+    render_measure,
     render_relation,
     render_terms,
 )
@@ -72,28 +74,23 @@ def build_elemental_form(
     """Attach labels to the nonzero multipliers and re-verify the identity."""
     if not verify_certificate(p, c):
         raise UnverifiedCertificateError("certificate does not verify; refusing to build a proof")
-    names = universe.names
     eim_terms = tuple(
-        (coeff, term.label(names))
+        (coeff, render_measure(term.measure, universe))
         for coeff, term in zip(c.lam, p.elemental.rows) if coeff
     )
-    qrows = p.constraints.rows if p.constraints is not None else ()
+    qrows = p.constraints.rows
     constraint_terms = tuple(
         (coeff, row.label, row.origin_text)
         for coeff, row in zip(c.nu, qrows) if coeff
     )
-    groups: list[tuple[str, list[str]]] = []
-    for row in qrows:
-        if groups and groups[-1][0] == row.origin_text:
-            groups[-1][1].append(row.label)
-        else:
-            groups.append((row.origin_text, [row.label]))
+    groups = tuple((decl, tuple(row.label for row in rows))
+                   for decl, rows in groupby(qrows, key=lambda row: row.origin_text))
     form = ElementalForm(
         universe=universe,
         relation=relation,
         eim_terms=eim_terms,
         constraint_terms=constraint_terms,
-        constraint_groups=tuple((decl, tuple(labels)) for decl, labels in groups),
+        constraint_groups=groups,
     )
     _check_identity(form)
     return form

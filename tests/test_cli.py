@@ -103,6 +103,20 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"{p}: not UTF-8 text\n"
 
+    def test_input_error_deep_parentheses(self, capsys):
+        code = main(["--expr", "(" * 600 + "H(X)" + ")" * 600 + " >= 0", "--vars", "X"])
+        assert code == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+    def test_input_error_deep_parentheses_file(self, capsys, tmp_path):
+        p = tmp_path / "deep.iiq"
+        p.write_text("vars: X\nprove: " + "(" * 600 + "H(X)" + ")" * 600 + " >= 0\n",
+                     encoding="utf-8")
+        code = main(["prove", str(p)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "deep.iiq:2" in err and "nested deeper" in err
+
     def test_input_error_missing_flags(self, capsys):
         assert main([]) == 2
 

@@ -5,7 +5,7 @@ import pytest
 
 import dd_oracle
 from infoineq.canonical import CanonicalVector, canonicalize, measure_vector
-from infoineq.constraints import build_constraint_matrix
+from infoineq.constraints import ConstraintMatrix, build_constraint_matrix
 from infoineq.elemental import enumerate_eims
 from infoineq.errors import DimensionMismatchError
 from infoineq.lp import (
@@ -135,6 +135,13 @@ class TestNonnegCombination:
         result = solve(ConeProblem(target, g3, q))
         assert isinstance(result, ProvenSTI)
         assert result.certificate.nu == (F(1),)
+
+
+class TestNoConstraints:
+    def test_none_is_stored_as_the_empty_matrix(self, u2, g2):
+        p = ConeProblem(canonicalize(parse_expr("I(X1;X2)", u2), 2), g2)
+        assert p.constraints == ConstraintMatrix(2, ())
+        assert verify_certificate(p, Certificate((F(0), F(0), F(1)), ()))
 
 
 class TestColumns:

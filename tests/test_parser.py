@@ -220,6 +220,19 @@ class TestParseRelation:
         r = parse_relation("I(X1;X2) >= 0", u2)
         assert r.rhs == InfoExpr(())
 
+    def test_deep_parentheses_raise_parse_error(self, u2):
+        # 600 levels would exhaust the interpreter's stack without a bound.
+        deep = "(" * 600 + "H(X1)" + ")" * 600
+        for fn, text in ((parse_expr, deep), (parse_relation, deep + " >= 0"),
+                         (parse_constraint, deep + " = 0")):
+            with pytest.raises(ParseError, match="nested deeper") as exc:
+                fn(text, u2)
+            assert exc.value.offset == 100
+
+    def test_nesting_bound_is_inclusive(self, u2):
+        e = parse_expr("2 " + "(" * 100 + "H(X1)" + ")" * 100, u2)
+        assert e.terms == ((Fraction(2), Entropy(0b01)),)
+
 
 class TestErrorDiscipline:
     def test_random_garbage_raises_only_package_errors(self, u3):
