@@ -14,6 +14,12 @@ The rewriting rules are
 where + is set union; an H(empty) term is identically zero and is dropped.
 Overlapping argument sets are legal and absorbed by the unions, which yields
 identities such as I(X;X) = H(X) and H(X|X) = 0.
+
+These rules live in one function, `_units`, which gives a measure's signed
+subset masks; `cond_entropy`, `mutual_info`, `measure_vector` and
+`canonicalize` all build their vectors from it.  `canonicalize` feeds the
+units of every term into one accumulation, so an expression costs one
+vector, not one per term.
 """
 
 from __future__ import annotations
@@ -23,12 +29,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, EmptySetError
-from .parser import Entropy, InfoExpr, Measure
+from .parser import Entropy, InfoExpr, Measure, MutualInfo
 
 VarSet = int  # bitmask over positions 1..n: bit i-1 set <=> variable i present
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,9 @@ class CanonicalVector:
 
     @staticmethod
     def from_units(n: int, units: Iterable[tuple[int, Fraction]]) -> "CanonicalVector":
-        """Accumulate (mask, coefficient) contributions; mask 0 entries are dropped."""
+        """Accumulate (mask, coefficient) contributions; every mask must be nonempty."""
         coeffs = [_ZERO] * ((1 << n) - 1)
         for mask, coeff in units:
-            if mask == 0:
-                continue
             if not 0 < mask < (1 << n):
                 raise ValueError(f"subset mask {mask} out of range for n={n}")
             coeffs[mask - 1] += coeff
@@ -108,38 +111,38 @@ def joint_entropy(alpha: VarSet, n: int) -> CanonicalVector:
     """Canonical vector of H(X_alpha): the basis vector at mask(alpha)."""
     if alpha == 0:
         raise EmptySetError("joint entropy of the empty set has no coordinate")
-    return CanonicalVector.from_units(n, [(alpha, _ONE)])
+    return CanonicalVector.from_units(n, [(alpha, 1)])
+
+
+def _units(m: Measure) -> tuple[tuple[VarSet, int], ...]:
+    """The rewriting rule: a measure's signed joint entropies, H(empty) dropped."""
+    if isinstance(m, Entropy):
+        if m.alpha == 0:
+            raise EmptySetError("conditional entropy needs a nonempty left argument")
+        units = ((m.alpha | m.gamma, 1),)
+    else:
+        if m.alpha == 0 or m.beta == 0:
+            raise EmptySetError("mutual information needs nonempty argument sets")
+        units = ((m.alpha | m.gamma, 1), (m.beta | m.gamma, 1), (m.alpha | m.beta | m.gamma, -1))
+    return units + ((m.gamma, -1),) if m.gamma else units
 
 
 def cond_entropy(alpha: VarSet, gamma: VarSet, n: int) -> CanonicalVector:
     """Canonical vector of H(X_alpha | X_gamma) = H(X_{a+g}) - H(X_g)."""
-    if alpha == 0:
-        raise EmptySetError("conditional entropy needs a nonempty left argument")
-    return CanonicalVector.from_units(n, [(alpha | gamma, _ONE), (gamma, -_ONE)])
+    return CanonicalVector.from_units(n, _units(Entropy(alpha, gamma)))
 
 
 def mutual_info(alpha: VarSet, beta: VarSet, gamma: VarSet, n: int) -> CanonicalVector:
     """Canonical vector of I(X_alpha ; X_beta | X_gamma)."""
-    if alpha == 0 or beta == 0:
-        raise EmptySetError("mutual information needs nonempty argument sets")
-    return CanonicalVector.from_units(n, [
-        (alpha | gamma, _ONE),
-        (beta | gamma, _ONE),
-        (alpha | beta | gamma, -_ONE),
-        (gamma, -_ONE),
-    ])
+    return CanonicalVector.from_units(n, _units(MutualInfo(alpha, beta, gamma)))
 
 
 def measure_vector(m: Measure, n: int) -> CanonicalVector:
-    if isinstance(m, Entropy):
-        return cond_entropy(m.alpha, m.gamma, n)
-    return mutual_info(m.alpha, m.beta, m.gamma, n)
+    return CanonicalVector.from_units(n, _units(m))
 
 
 def canonicalize(e: InfoExpr, n: int) -> CanonicalVector:
-    """Canonical vector of a linear combination, by linearity."""
-    units: list[tuple[int, Fraction]] = []
-    for coeff, m in e.terms:
-        for mask, base in measure_vector(m, n).nonzero():
-            units.append((mask, coeff * base))
-    return CanonicalVector.from_units(n, units)
+    """Canonical vector of a linear combination: every term's units in one pass."""
+    return CanonicalVector.from_units(n, (
+        (mask, coeff if sign > 0 else -coeff)  # signs are +-1; negating beats a Fraction product
+        for coeff, m in e.terms for mask, sign in _units(m)))

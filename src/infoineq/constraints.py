@@ -51,7 +51,6 @@ class ConstraintRow:
 
     row: CanonicalVector
     label: str  # expression text that canonicalizes to `row`
-    origin: ConstraintDecl
     origin_text: str  # rendered declaration, for proof provenance
 
 
@@ -145,6 +144,6 @@ def build_constraint_matrix(decls: Iterable[ConstraintDecl], u: VarUniverse) -> 
             raise TypeError(f"unknown constraint declaration {decl!r}")
         validate_constraint(decl, u)
         text = render_constraint(decl, u)
-        rows += [ConstraintRow(canonicalize(e, u.n), render_expr(e, u), decl, text)
+        rows += [ConstraintRow(canonicalize(e, u.n), render_expr(e, u), text)
                  for e in compile_rows(decl)]
     return ConstraintMatrix(u.n, dedup_rows(rows))

@@ -92,7 +92,9 @@ def enumerate_eims(n: int) -> ElementalMatrix:
     """Build the elemental matrix for n variables, rows in the documented order.
 
     Each term holds its signed subset masks; mask 0 (the empty set) has no
-    coordinate and is left out.
+    coordinate and is left out.  The masks are written here rather than taken
+    from `canonical`'s rewriting rule, which would build a measure per row;
+    the tests check every row against `cond_entropy` and `mutual_info`.
     """
     if n < 1:
         raise ValueError("universe size must be at least 1")

@@ -19,11 +19,12 @@ Grammar (whitespace between tokens is insignificant):
     ident      := [A-Za-z][A-Za-z0-9_]*
 
 Coefficients are exact rationals written `3`, `-2` or `1/2`; decimal floats
-are rejected so the whole pipeline stays exact.  A bare `0` denotes the zero
-expression, which is how `... = 0` constraints are written.  Groups
-`( expr )` nest at most 100 deep; deeper input is a ParseError.  Strict
-inequalities (`<`, `>`) are rejected: the decision procedure handles
-non-strict inequalities only.
+are rejected so the whole pipeline stays exact.  An integer has at most 1000
+digits, and a coefficient scaled by its groups stays within the same size.
+A bare `0` denotes the zero expression, which is how `... = 0` constraints
+are written.  Groups `( expr )` nest at most 100 deep; deeper input is a
+ParseError.  Strict inequalities (`<`, `>`) are rejected: the decision
+procedure handles non-strict inequalities only.
 
 Variable sets are bitmasks over the declared universe: bit i-1 set means the
 i-th declared variable is present.  `H(A,B|C)` is the entropy of the pair
@@ -268,6 +269,15 @@ def _check_sets(masks: Sequence[int], least: int, what: str, overlap_error: type
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Longest accepted integer, in decimal digits.  The tokenizer checks a digit
+# token before anything converts it, and a coefficient scaled by its groups
+# must keep its numerator and denominator within the bit length of
+# 10**_MAX_DIGITS.  Proofs print these numbers, so the bound keeps them well
+# under the 4300 digits that Python's int-to-string conversion refuses by
+# default.
+_MAX_DIGITS = 1000
+_MAX_BITS = (10 ** _MAX_DIGITS).bit_length()
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -293,6 +303,8 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", offset=pos)
+        if m.lastgroup == "int" and m.end() - pos > _MAX_DIGITS:
+            raise ParseError(f"integer longer than {_MAX_DIGITS} digits", offset=pos)
         if m.lastgroup != "ws":
             tokens.append(_Token(m.lastgroup, m.group(), pos))
         pos = m.end()
@@ -439,11 +451,11 @@ def _parse_rational(stream: _TokenStream) -> Fraction:
 
 def _parse_term(stream: _TokenStream, u: VarUniverse, sign: int) -> list[tuple[Fraction, Measure]]:
     """One term, as its signed measures: none for a bare `0`, several for a group."""
-    tok = stream.peek()
+    start = stream.peek()
     coeff = Fraction(1)
-    if tok.kind == "int":
+    if start.kind == "int":
         after = stream.tokens[stream.i + 1]
-        bare_zero = tok.text == "0" and not (
+        bare_zero = start.text == "0" and not (
             after.kind == "ident" or (after.kind == "punct" and after.text in ("*", "/", "("))
         )
         if bare_zero:
@@ -459,7 +471,10 @@ def _parse_term(stream: _TokenStream, u: VarUniverse, sign: int) -> list[tuple[F
         group = _parse_expr(stream, u)
         stream.expect(")")
         stream.depth -= 1
-        return list(group.scaled(sign * coeff).terms)
+        terms = group.scaled(sign * coeff).terms
+        if any(max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_BITS for c, _ in terms):
+            raise ParseError(f"scaled coefficient longer than {_MAX_BITS} bits", offset=start.pos)
+        return list(terms)
     return [(sign * coeff, _parse_measure(stream, u))]
 
 

@@ -4,8 +4,8 @@ The certificate multipliers rewrite the canonical difference of the two sides
 as a nonnegative combination of elemental measures plus multiples of the
 declared constraint rows (the "elemental form").  Each elemental term is
 nonnegative by definition and each constraint term vanishes by assumption,
-so the identity is the whole proof; verifying it is an exact coordinate
-comparison of canonical vectors.
+so the identity is the whole proof; verifying it is an exact check that
+the canonical vector of difference minus right-hand side is zero.
 
 The renderers format an `ElementalForm` directly and are deterministic:
 text, LaTeX (an align* environment plus an itemized justification list;
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .canonical import CanonicalVector, canonicalize
+from .canonical import canonicalize
 from .errors import UnverifiedCertificateError
 from .lp import Certificate, ConeProblem, verify_certificate
 from .parser import (
@@ -97,15 +97,14 @@ def build_elemental_form(
 
 
 def _check_identity(form: ElementalForm) -> None:
-    """Recompute both sides of the identity from the labels alone."""
+    """Recompute the identity from the labels alone: one canonical vector, zero."""
     u = form.universe
-    total = CanonicalVector.zero(u.n)
+    identity = -difference_expr(form.relation)
     for coeff, label in form.eim_terms:
-        total = total + canonicalize(parse_expr(label, u), u.n).scale(coeff)
+        identity += parse_expr(label, u).scaled(coeff)
     for coeff, label, _ in form.constraint_terms:
-        total = total - canonicalize(parse_expr(label, u), u.n).scale(coeff)
-    expected = canonicalize(difference_expr(form.relation), u.n)
-    if total != expected:
+        identity -= parse_expr(label, u).scaled(coeff)
+    if not canonicalize(identity, u.n).is_zero():
         raise UnverifiedCertificateError("elemental form identity failed to re-verify")
 
 

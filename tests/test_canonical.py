@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoineq.canonical import (
     CanonicalVector,
     canonicalize,
     cond_entropy,
     joint_entropy,
+    measure_vector,
     mutual_info,
 )
 from infoineq.errors import DimensionMismatchError, EmptySetError
@@ -99,6 +102,41 @@ class TestCanonicalize:
 
     def test_zero_coefficient_contributes_nothing(self, u2):
         assert canonicalize(parse_expr("0 H(X1)", u2), 2).is_zero()
+
+    @pytest.mark.parametrize("measure, message", [
+        (Entropy(0), "conditional entropy needs a nonempty left argument"),
+        (MutualInfo(1, 0), "mutual information needs nonempty argument sets"),
+    ])
+    def test_empty_argument_in_built_expression_rejected(self, measure, message):
+        e = InfoExpr(((F(1), Entropy(1)), (F(2), measure)))
+        with pytest.raises(EmptySetError, match=message):
+            canonicalize(e, 2)
+
+
+@st.composite
+def _sized_expr(draw):
+    """An expression over n = 1..5 with rational coefficients; conditioning
+    sets may be empty and argument sets may overlap."""
+    n = draw(st.integers(1, 5))
+    full = (1 << n) - 1
+    mask = st.integers(1, full)
+    coeff = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    measure = st.one_of(
+        st.builds(Entropy, mask, st.integers(0, full)),
+        st.builds(MutualInfo, mask, mask, st.integers(0, full)),
+    )
+    terms = draw(st.lists(st.tuples(coeff, measure), max_size=6))
+    return n, InfoExpr(tuple(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sized_expr())
+def test_canonicalize_equals_termwise_sum(case):
+    n, e = case
+    termwise = CanonicalVector.zero(n)
+    for coeff, m in e.terms:
+        termwise = termwise + measure_vector(m, n).scale(coeff)
+    assert canonicalize(e, n) == termwise
 
 
 def _random_expr(rng, n):

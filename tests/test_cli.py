@@ -117,6 +117,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "deep.iiq:2" in err and "nested deeper" in err
 
+    def test_input_error_long_coefficient(self, capsys):
+        code = main(["--vars", "X", "--expr", "1" + "0" * 5000 + " H(X) >= 0"])
+        assert code == 2
+        assert "longer than 1000 digits" in capsys.readouterr().err
+
+    def test_input_error_long_coefficient_file(self, capsys, tmp_path):
+        a = "7" * 1000
+        p = tmp_path / "long.iiq"
+        p.write_text(f"vars: X\nprove: {a} ({a} ({a} ({a} ({a} H(X))))) >= 0\n", encoding="utf-8")
+        code = main(["prove", str(p)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "long.iiq:2" in err and "scaled coefficient" in err
+
     def test_input_error_missing_flags(self, capsys):
         assert main([]) == 2
 

@@ -138,6 +138,27 @@ class TestParseExpr:
         with pytest.raises(ParseError):
             parse_expr("2 (H(X1) - H(X2)", u2)
 
+    def test_coefficient_digit_bound(self, u2):
+        longest = "9" * 1000
+        assert parse_expr(f"{longest}/{'8' * 1000} H(X1)", u2).terms[0][0] == Fraction(
+            int(longest), int("8" * 1000))
+        with pytest.raises(ParseError) as exc:
+            parse_expr(f"H(X2) + {longest}9 H(X1)", u2)
+        assert exc.value.offset == 8
+        with pytest.raises(ParseError) as exc:
+            parse_expr(f"H(X2) + 1/{longest}9 H(X1)", u2)
+        assert exc.value.offset == 10
+
+    def test_group_scaled_coefficient_bound(self, u2):
+        longest = "9" * 1000
+        assert parse_expr(f"1/{longest} ({longest} H(X1))", u2).terms == (
+            (Fraction(1), Entropy(0b01)),)
+        for text in (f"H(X2) - {longest} ({longest} H(X1))",
+                     f"H(X2) - 1/{longest} (1/{longest} H(X1) + H(X2))"):
+            with pytest.raises(ParseError) as exc:
+                parse_expr(text, u2)
+            assert exc.value.offset == 8
+
     def test_leading_minus(self, u4):
         e = parse_expr("-I(A;D) + I(B;C)", u4)
         assert e.terms[0] == (Fraction(-1), MutualInfo(0b0001, 0b1000))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from infoineq.errors import UnverifiedCertificateError
 from infoineq.lp import Certificate, ConeProblem, ProvenSTI, solve
 from infoineq.parser import parse_constraint, parse_expr, parse_relation
 from infoineq.proof import (
+    _check_identity,
     build_elemental_form,
     difference_expr,
     render_json,
@@ -55,6 +57,13 @@ class TestBuildElementalForm:
         bad = Certificate((cert.lam[0] + 1,) + cert.lam[1:], cert.nu)
         with pytest.raises(UnverifiedCertificateError):
             build_elemental_form(problem, bad, parse_relation("I(X1;X2) >= 0", u2), u2)
+
+    def test_identity_check_rejects_swapped_label(self, u2, g2):
+        _, _, form = _prove("H(X1) >= 0", u2, g2)
+        swapped = replace(form, eim_terms=(form.eim_terms[0], (F(1), "H(X2|X1)")))
+        _check_identity(form)
+        with pytest.raises(UnverifiedCertificateError):
+            _check_identity(swapped)
 
     def test_zero_multipliers_dropped(self, u2, g2):
         _, cert, form = _prove("H(X1) >= 0", u2, g2)
