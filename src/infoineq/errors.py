@@ -75,5 +75,9 @@ class DimensionMismatchError(InfoIneqError):
     """Vectors or matrices built for different universe sizes were mixed."""
 
 
+class ProblemTooLargeError(InfoIneqError):
+    """A problem beyond the documented size bound, refused before anything is allocated."""
+
+
 class UnverifiedCertificateError(InfoIneqError):
     """A proof was requested from a certificate that does not verify."""

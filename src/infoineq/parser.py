@@ -20,7 +20,8 @@ Grammar (whitespace between tokens is insignificant):
 
 Coefficients are exact rationals written `3`, `-2` or `1/2`; decimal floats
 are rejected so the whole pipeline stays exact.  An integer has at most 1000
-digits, and a coefficient scaled by its groups stays within the same size.
+digits; a coefficient scaled by its groups, and the common denominator of
+all coefficients in one relation, stay within the same size.
 A bare `0` denotes the zero expression, which is how `... = 0` constraints
 are written.  Groups `( expr )` nest at most 100 deep; deeper input is a
 ParseError.  Strict inequalities (`<`, `>`) are rejected: the decision
@@ -37,6 +38,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -272,9 +274,11 @@ def _check_sets(masks: Sequence[int], least: int, what: str, overlap_error: type
 # Longest accepted integer, in decimal digits.  The tokenizer checks a digit
 # token before anything converts it, and a coefficient scaled by its groups
 # must keep its numerator and denominator within the bit length of
-# 10**_MAX_DIGITS.  Proofs print these numbers, so the bound keeps them well
-# under the 4300 digits that Python's int-to-string conversion refuses by
-# default.
+# 10**_MAX_DIGITS.  So must the lcm of the denominators in any relation the
+# parser returns (`parse_relation`, and through it explicit constraints),
+# because canonical coefficients, multipliers and ray values share it.
+# Proofs print these numbers, so the bound keeps them well under the 4300
+# digits that Python's int-to-string conversion refuses by default.
 _MAX_DIGITS = 1000
 _MAX_BITS = (10 ** _MAX_DIGITS).bit_length()
 
@@ -518,6 +522,8 @@ def parse_relation(text: str, u: VarUniverse) -> Relation:
     op = RelOp(tok.text)
     rhs = _parse_expr(stream, u)
     stream.expect_end()
+    if lcm(*(c.denominator for c, _ in lhs.terms + rhs.terms)).bit_length() > _MAX_BITS:
+        raise ParseError(f"common denominator of the coefficients longer than {_MAX_BITS} bits")
     return Relation(lhs, rhs, op)
 
 

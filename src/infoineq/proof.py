@@ -7,10 +7,11 @@ nonnegative by definition and each constraint term vanishes by assumption,
 so the identity is the whole proof; verifying it is an exact check that
 the canonical vector of difference minus right-hand side is zero.
 
-The renderers format an `ElementalForm` directly and are deterministic:
-text, LaTeX (an align* environment plus an itemized justification list;
-compile with article + amsmath, T1 fontenc), and a versioned JSON document
-whose numbers allow independent re-checking.
+The renderers lay out a whole proven answer from its forms (one, or an
+equality's two directions) and are deterministic: text, LaTeX (an align*
+environment plus an itemized justification list; compile with article +
+amsmath, T1 fontenc), and a versioned JSON document whose numbers allow
+independent re-checking.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ class ElementalForm:
 
     `eim_terms` hold strictly positive multipliers; `constraint_terms` hold
     the nonzero equality multipliers as extracted (each enters the rendered
-    identity with its sign flipped).  `constraint_groups` lists every declared
-    constraint with all of its compiled row labels, in declaration order, for
-    the provenance sections.
+    identity with its sign flipped).  `constraint_groups` lists, in
+    declaration order and for the provenance sections, each declaration that
+    kept a compiled row, with the labels of the rows it kept: a declaration
+    whose rows are all zero or all repeat earlier rows is left out.
     """
 
     universe: VarUniverse
@@ -138,8 +140,25 @@ def _identity(form: ElementalForm) -> tuple[str, str]:
     return render_expr(difference_expr(form.relation), form.universe), rhs
 
 
-def render_text(f: ElementalForm) -> str:
-    """Plain-text proof; five lines when there are no constraints."""
+def direction_tag(relation: Relation) -> str:
+    """Names one direction of an equality: `LHS <= RHS` or `LHS >= RHS`."""
+    return "LHS <= RHS" if relation.op is RelOp.LEQ else "LHS >= RHS"
+
+
+def _directions(forms: tuple[ElementalForm, ...], render, comment: str = "") -> str:
+    """One form's proof, or each direction's under its own header."""
+    if len(forms) == 1:
+        return render(forms[0])
+    return "\n".join(f"{comment}direction {direction_tag(f.relation)}:\n\n{render(f)}"
+                     for f in forms)
+
+
+def render_text(*forms: ElementalForm) -> str:
+    """Plain-text proof of an answer; five lines for one unconstrained form."""
+    return _directions(forms, _text)
+
+
+def _text(f: ElementalForm) -> str:
     lhs, rhs = _identity(f)
     lines = [f"Prove: {render_relation(f.relation, f.universe)}"]
     if f.constraint_groups:
@@ -164,7 +183,12 @@ def _latexify(s: str) -> str:
     return out.replace("|", r" \mid ")
 
 
-def render_latex(f: ElementalForm) -> str:
+def render_latex(*forms: ElementalForm) -> str:
+    """LaTeX proof of an answer; an equality's direction headers are comments."""
+    return _directions(forms, _latex, comment="% ")
+
+
+def _latex(f: ElementalForm) -> str:
     lhs, rhs = _identity(f)
     lines = [f"% Prove: {render_relation(f.relation, f.universe)}"]
     lines.extend(f"% Assume: {decl}" for decl, _ in f.constraint_groups)
@@ -188,13 +212,26 @@ def _fraction_entry(label: str, value: Fraction) -> dict:
     return {"row_label": label, "num": str(value.numerator), "den": str(value.denominator)}
 
 
-def render_json(f: ElementalForm, c: Certificate) -> str:
-    """Versioned machine-readable proof; zero multipliers are omitted."""
-    nonzero_lam = sum(1 for v in c.lam if v)
-    nonzero_nu = sum(1 for v in c.nu if v)
-    if nonzero_lam != len(f.eim_terms) or nonzero_nu != len(f.constraint_terms):
-        raise ValueError("certificate does not match the elemental form it came from")
-    doc = {
+def render_json(*forms: ElementalForm) -> str:
+    """Versioned machine-readable proof; zero multipliers are omitted.
+
+    An equality's document wraps one per-direction document for each form.
+    """
+    if len(forms) == 1:
+        doc = _json_doc(forms[0])
+    else:
+        first = forms[0]
+        equality = Relation(first.relation.lhs, first.relation.rhs, RelOp.EQ)
+        doc = {
+            "schema_version": 1,
+            "statement": {"relation": render_relation(equality, first.universe), "op": "="},
+            "directions": [_json_doc(f) for f in forms],
+        }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _json_doc(f: ElementalForm) -> dict:
+    return {
         "schema_version": 1,
         "statement": {
             "lhs": render_expr(f.relation.lhs, f.universe),
@@ -211,4 +248,3 @@ def render_json(f: ElementalForm, c: Certificate) -> str:
         },
         "verified": True,
     }
-    return json.dumps(doc, indent=2) + "\n"

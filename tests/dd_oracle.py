@@ -120,7 +120,11 @@ def extreme_rays(ineqs: list[Vec], eqs: list[Vec], dim: int) -> tuple[list[Vec],
 
 def holds_on_cone(objective: Vec, ineqs: list[Vec], eqs: list[Vec], dim: int) -> bool:
     """True iff objective.h >= 0 for every h in the cone."""
-    rays, lineality = extreme_rays(ineqs, eqs, dim)
+    return holds_on_rays(objective, *extreme_rays(ineqs, eqs, dim))
+
+
+def holds_on_rays(objective: Vec, rays: list[Vec], lineality: list[Vec]) -> bool:
+    """`holds_on_cone` for a cone whose `extreme_rays` are already known."""
     if any(dot(objective, l) != 0 for l in lineality):
         return False
     return all(dot(objective, r) >= 0 for r in rays)

@@ -202,7 +202,7 @@ def _proven_documents():
             entry.name,
             render_text(d.form),
             render_latex(d.form),
-            render_json(d.form, d.outcome.certificate),
+            render_json(d.form),
         ))
     u4 = parse_universe("A,B,C,D")
     result = prove(Problem(
@@ -212,7 +212,7 @@ def _proven_documents():
     ))
     d = result.directions[0]
     docs.append(("chain_demo", render_text(d.form), render_latex(d.form),
-                 render_json(d.form, d.outcome.certificate)))
+                 render_json(d.form)))
     return docs
 
 

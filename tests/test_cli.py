@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import proof_check
 from corpus_n3 import CORPUS, PROVEN
 from infoineq.cli import (
+    MAX_VARS,
     NOT_PROVABLE_VERDICT,
     PROVEN_VERDICT,
     Problem,
@@ -13,7 +18,12 @@ from infoineq.cli import (
     parse_problem_file,
     prove,
 )
+from infoineq.errors import ProblemTooLargeError
 from infoineq.parser import parse_constraint, parse_relation, parse_universe
+
+# Six coprime 999-digit denominators: their lcm has about 5988 digits, more
+# than Python prints from an int by default.
+LONG_SUM = " + ".join(f"1/{10**998 + k} H(X)" for k in (1, 3, 7, 9, 11, 13))
 
 
 @pytest.fixture()
@@ -52,6 +62,18 @@ class TestProblemFile:
         p.write_text("vars: X, Y\nprove: H(X) <\n", encoding="utf-8")
         with pytest.raises(ProblemFileError, match=r"bad\.iiq:2"):
             parse_problem_file(str(p))
+
+    def test_duplicate_vars(self, tmp_path, capsys):
+        p = tmp_path / "bad.iiq"
+        p.write_text("vars: X\nvars: Y\nprove: H(X) >= 0\n", encoding="utf-8")
+        assert main(["prove", str(p)]) == 2
+        assert capsys.readouterr().err == f"{p}:2: duplicate vars: line\n"
+
+    def test_missing_prove(self, tmp_path, capsys):
+        p = tmp_path / "bad.iiq"
+        p.write_text("vars: X\n", encoding="utf-8")
+        assert main(["prove", str(p)]) == 2
+        assert capsys.readouterr().err == f"{p}: missing prove: line\n"
 
     def test_unrecognized_line(self, tmp_path):
         p = tmp_path / "bad.iiq"
@@ -130,6 +152,65 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "long.iiq:2" in err and "scaled coefficient" in err
+
+    @pytest.mark.parametrize("op", [">=", "<="])
+    def test_input_error_long_common_denominator(self, capsys, op):
+        code = main(["--vars", "X", "--expr", f"{LONG_SUM} {op} 0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: common denominator of the coefficients longer than 3322 bits\n")
+
+    def test_input_error_long_common_denominator_file(self, capsys, tmp_path):
+        p = tmp_path / "long.iiq"
+        p.write_text(f"vars: X\nprove: {LONG_SUM} >= 0\n", encoding="utf-8")
+        code = main(["prove", str(p)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "long.iiq:2" in err and "common denominator" in err
+
+    def test_input_error_long_common_denominator_constraint(self, capsys):
+        code = main(["--vars", "X,Y", "--assume", f"{LONG_SUM} = 0", "--expr", "H(X) <= 0"])
+        assert code == 2
+        assert "common denominator" in capsys.readouterr().err
+
+    def test_input_error_too_many_variables(self, capsys):
+        names = ",".join(f"X{i}" for i in range(1, MAX_VARS + 2))
+        code = main(["--vars", names, "--expr", "H(X1) >= 0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {MAX_VARS + 1} variables declared; at most {MAX_VARS} are supported\n")
+
+    def test_prove_refuses_too_many_variables(self):
+        u = parse_universe(",".join(f"X{i}" for i in range(1, MAX_VARS + 2)))
+        with pytest.raises(ProblemTooLargeError):
+            prove(Problem(u, (), parse_relation("H(X1) >= 0", u)))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--vars", ",X", "--expr", "H(X) >= 0"],
+         "expected variable name before ',' (at offset 0)"),
+        (["--vars", "X,Y", "--assume", "func: Y = g(X)", "--expr", "H(X) >= 0"],
+         "expected f(...) on the right of a functional dependency (at offset 10)"),
+        (["--vars", "X,Y", "--assume", "factor:", "--expr", "H(X) >= 0"],
+         "expected at least one factor P(...) (at offset 7)"),
+    ])
+    def test_input_error_messages(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_positional_usage(self, capsys):
+        assert main(["prove", "a", "b"]) == 2
+        assert "positional usage is: prove FILE" in capsys.readouterr().err
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoineq.cli", "--vars", "A,B,C,D",
+             "--assume", "markov: A -> B -> C -> D", "--expr", "I(A;D) <= I(B;C)"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(PROVEN_VERDICT)
+        assert proc.stderr == ""
 
     def test_input_error_missing_flags(self, capsys):
         assert main([]) == 2

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,15 @@ from infoineq.lp import (
     solve,
     verify_certificate,
 )
-from infoineq.parser import Entropy, MutualInfo, parse_constraint, parse_expr, parse_universe
+from infoineq.cli import Problem, prove
+from infoineq.parser import (
+    Entropy,
+    MutualInfo,
+    parse_constraint,
+    parse_expr,
+    parse_relation,
+    parse_universe,
+)
 
 F = Fraction
 
@@ -236,6 +245,15 @@ def _all_bims(n):
                     yield MutualInfo(alpha, beta, gamma)
 
 
+@functools.lru_cache(maxsize=None)
+def _cone_rays(names, constraints):
+    """dd_oracle's (extreme rays, lineality) of the elemental cone cut by the constraints."""
+    u = parse_universe(names)
+    q = build_constraint_matrix([parse_constraint(c, u) for c in constraints], u)
+    ineqs = [t.row.coeffs for t in enumerate_eims(u.n).rows]
+    return dd_oracle.extreme_rays(ineqs, [row.row.coeffs for row in q.rows], (1 << u.n) - 1)
+
+
 class TestSoundnessFuzz:
     def test_every_outcome_passes_its_own_check(self):
         rng = random.Random(99)
@@ -251,7 +269,8 @@ class TestSoundnessFuzz:
             n = rng.choice([3, 4])
             names, constraints = pool[n]
             u = parse_universe(names)
-            decls = [parse_constraint(c, u) for c in rng.sample(constraints, rng.randint(0, 2))]
+            chosen = rng.sample(constraints, rng.randint(0, 2))
+            decls = [parse_constraint(c, u) for c in chosen]
             q = build_constraint_matrix(decls, u)
             objective = CanonicalVector.zero(n)
             full = (1 << n) - 1
@@ -268,6 +287,9 @@ class TestSoundnessFuzz:
                 assert verify_certificate(p, out.certificate)
             else:
                 assert is_disproof_ray(p, out.ray)
+            rays, lineality = _cone_rays(names, tuple(sorted(chosen)))
+            expected = dd_oracle.holds_on_rays(objective.coeffs, rays, lineality)
+            assert isinstance(out, ProvenSTI) == expected
 
 
 class TestOracleEquivalence:
@@ -296,3 +318,67 @@ class TestOracleEquivalence:
                 assert verify_certificate(ConeProblem(objective, g3), out.certificate)
             else:
                 assert is_disproof_ray(ConeProblem(objective, g3), out.ray)
+
+    def test_random_objectives_four_variables(self, g4):
+        rays, lineality = _cone_rays("A,B,C,D", ())
+        assert len(rays) == 41 and not lineality
+        rng = random.Random(47)
+        rows = list(g4.rows)
+        verdicts = set()
+        for _ in range(80):
+            objective = CanonicalVector.zero(4)
+            for _ in range(rng.randint(1, 4)):
+                coeff = F(rng.choice([-2, -1, 1, 2, 3]))
+                if rng.random() < 0.5:
+                    objective = objective + rng.choice(rows).row.scale(coeff)
+                else:
+                    m = Entropy(rng.randint(1, 15), rng.randint(0, 15))
+                    objective = objective + measure_vector(m, 4).scale(coeff)
+            expected = dd_oracle.holds_on_rays(objective.coeffs, rays, lineality)
+            out = solve(ConeProblem(objective, g4))
+            assert isinstance(out, ProvenSTI) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
+def _measure_text(rng, names):
+    def subset():
+        return ",".join(name for name in names if rng.random() < 0.5) or rng.choice(names)
+    if rng.random() < 0.5:
+        return f"H({subset()}|{subset()})" if rng.random() < 0.5 else f"H({subset()})"
+    return f"I({subset()};{subset()}|{subset()})" if rng.random() < 0.5 else \
+        f"I({subset()};{subset()})"
+
+
+def _side(rng, names):
+    return " + ".join(f"{rng.randint(1, 3)} {_measure_text(rng, names)}"
+                      for _ in range(rng.randint(1, 2)))
+
+
+def _proven(names, relation, constraints):
+    u = parse_universe(names)
+    decls = tuple(parse_constraint(c, u) for c in constraints)
+    return prove(Problem(u, decls, parse_relation(relation, u))).proven
+
+
+class TestMetamorphicVerdicts:
+    def test_relabelling_keeps_the_verdict(self):
+        """Permuted variables, an added unused one, a positive scale and swapped sides."""
+        rng = random.Random(53)
+        names = ["X", "Y", "Z"]
+        pool = ["markov: X -> Y -> Z", "indep: X ; Y", "func: Z = f(X,Y)", "I(X;Y|Z) = 0"]
+        verdicts = set()
+        for _ in range(60):
+            lhs, rhs = _side(rng, names), _side(rng, names)
+            constraints = rng.sample(pool, rng.randint(0, 1))
+            verdict = _proven("X,Y,Z", f"{lhs} >= {rhs}", constraints)
+            permuted = ",".join(rng.sample(names, 3))
+            widened = names[:]
+            widened.insert(rng.randint(0, 3), "W")
+            k = F(rng.randint(1, 9), rng.randint(1, 9))
+            assert _proven(permuted, f"{lhs} >= {rhs}", constraints) == verdict
+            assert _proven(",".join(widened), f"{lhs} >= {rhs}", constraints) == verdict
+            assert _proven("X,Y,Z", f"{k} ({lhs}) >= {k} ({rhs})", constraints) == verdict
+            assert _proven("X,Y,Z", f"{rhs} <= {lhs}", constraints) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

@@ -24,6 +24,7 @@ from infoineq.parser import (
     MutualIndep,
     MutualInfo,
     RelOp,
+    VarUniverse,
     parse_constraint,
     parse_expr,
     parse_relation,
@@ -65,6 +66,12 @@ class TestParseUniverse:
     def test_trailing_comma(self):
         with pytest.raises(ParseError):
             parse_universe("A, B,")
+
+    def test_code_built_universe_is_validated(self):
+        with pytest.raises(ParseError, match="must not be empty"):
+            VarUniverse(())
+        with pytest.raises(DuplicateNameError, match="duplicate variable name"):
+            VarUniverse(("X", "X"))
 
 
 class TestParseExpr:
@@ -249,6 +256,18 @@ class TestParseRelation:
             with pytest.raises(ParseError, match="nested deeper") as exc:
                 fn(text, u2)
             assert exc.value.offset == 100
+
+    def test_common_denominator_bound(self, u2):
+        widest = 10**1000 - 1  # 3322 bits, the most a denominator may have
+        r = parse_relation(f"1/{widest} H(X1) >= 1/{widest} H(X2)", u2)
+        assert r.lhs.terms[0][0] == Fraction(1, widest)
+        coprime = f"1/{10**998 + 1} H(X1) + 1/{10**998 + 3} H(X2)"
+        assert parse_expr(coprime, u2).terms[1][0] == Fraction(1, 10**998 + 3)
+        for fn, text in ((parse_relation, coprime + " >= 0"),
+                         (parse_relation, f"1/{10**998 + 1} H(X1) <= 1/{10**998 + 3} H(X2)"),
+                         (parse_constraint, coprime + " = 0")):
+            with pytest.raises(ParseError, match="common denominator"):
+                fn(text, u2)
 
     def test_nesting_bound_is_inclusive(self, u2):
         e = parse_expr("2 " + "(" * 100 + "H(X1)" + ")" * 100, u2)
